@@ -5,8 +5,6 @@
 // — a partitioned relaxation scheme. This ablation compares that scheme
 // against solving everything in one MNA system: waveform agreement (the
 // relaxation lags the coupling by one step) and the runtime trade.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -75,35 +73,12 @@ void print_experiment() {
     }
     std::printf("\nexpected shape: the partitioned scheme converges on the "
                 "monolithic answer as dt shrinks (its coupling error is "
-                "O(dt)); the benchmarks below give the runtime per step of "
-                "each engine.\n\n");
+                "O(dt)).\n\n");
 }
-
-void BM_monolithic(benchmark::State& state) {
-    auto plane = std::make_shared<PlaneModel>(small_board(), options());
-    const SsnModel mono(plane);
-    for (auto _ : state) {
-        const TransientResult r = mono.simulate(25e-12, 4e-9);
-        benchmark::DoNotOptimize(r.time.back());
-    }
-}
-BENCHMARK(BM_monolithic)->Unit(benchmark::kMillisecond)->Iterations(3);
-
-void BM_partitioned(benchmark::State& state) {
-    auto plane = std::make_shared<PlaneModel>(small_board(), options());
-    for (auto _ : state) {
-        PartitionedCosim part(plane, 25e-12);
-        const PartitionedCosim::Result r = part.run(4e-9);
-        benchmark::DoNotOptimize(r.time.back());
-    }
-}
-BENCHMARK(BM_partitioned)->Unit(benchmark::kMillisecond)->Iterations(3);
 
 } // namespace
 
-int main(int argc, char** argv) {
+int main() {
     print_experiment();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -8,8 +8,6 @@
 // that limit directly: transfer impedance error of the *reduced* 42-node
 // circuit against the full (unreduced) quasi-static solution across
 // frequency, for two reduction levels.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
 
@@ -79,27 +77,9 @@ void print_experiment() {
                 "paper's quasi-static limit.\n\n");
 }
 
-void BM_reduction(benchmark::State& state) {
-    const PlaneBem bem = make_plane();
-    const std::size_t p1 = bem.mesh().nearest_node({1e-3, 1e-3}, 0);
-    const std::size_t p2 = bem.mesh().nearest_node({7e-3, 7e-3}, 0);
-    const CircuitExtractor ex(bem);
-    const auto keep = ex.select_nodes({p1, p2}, state.range(0));
-    // Force assembly outside the loop.
-    benchmark::DoNotOptimize(bem.gamma().max_abs());
-    benchmark::DoNotOptimize(bem.maxwell_capacitance().max_abs());
-    for (auto _ : state) {
-        const EquivalentCircuit ec = ex.extract(keep);
-        benchmark::DoNotOptimize(ec.branches.size());
-    }
-}
-BENCHMARK(BM_reduction)->Arg(8)->Arg(40)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
-int main(int argc, char** argv) {
+int main() {
     print_experiment();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -7,8 +7,6 @@
 // the classic isolated-square-plate capacitance benchmark (converged value
 // ≈ 40.8 pF for a 1 m plate) and on the extracted plane inductance, as a
 // function of mesh density.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
 
@@ -48,32 +46,12 @@ void print_experiment() {
                     100 * (cg - 40.8e-12) / 40.8e-12);
     }
     std::printf("\nexpected shape: Galerkin converges from a closer starting "
-                "point at every density — the paper's accuracy claim — while "
-                "the timing benchmarks below show its assembly premium.\n\n");
+                "point at every density — the paper's accuracy claim.\n\n");
 }
-
-void BM_assembly(benchmark::State& state) {
-    const auto testing =
-        state.range(1) == 0 ? Testing::PointMatching : Testing::Galerkin;
-    const int n = static_cast<int>(state.range(0));
-    for (auto _ : state) {
-        const PlaneBem bem = plate(n, testing);
-        benchmark::DoNotOptimize(bem.potential_matrix().max_abs());
-    }
-    state.SetLabel(state.range(1) == 0 ? "point-matching" : "galerkin");
-}
-BENCHMARK(BM_assembly)
-    ->Args({8, 0})
-    ->Args({8, 1})
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 
-int main(int argc, char** argv) {
+int main() {
     print_experiment();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -12,8 +12,6 @@
 //
 // Agreement across all three pins down the common quasi-TEM physics and
 // bounds the numerical error of each implementation.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
 
@@ -127,19 +125,9 @@ void print_experiment() {
                 "slope and the first mode within a few percent.\n\n");
 }
 
-void BM_cavity_impedance(benchmark::State& state) {
-    const CavityModel cav = cavity();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            cav.impedance({1e-3, 1e-3}, {1e-3, 1e-3}, 2e9));
-}
-BENCHMARK(BM_cavity_impedance)->Unit(benchmark::kMicrosecond);
-
 } // namespace
 
-int main(int argc, char** argv) {
+int main() {
     print_experiment();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

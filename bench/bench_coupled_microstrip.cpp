@@ -17,8 +17,6 @@
 //       circuit — the field-solver path.
 // The line length is not stated in the paper; 0.30 m gives the ~2 ns flight
 // time consistent with Fig. 5's axes.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -159,28 +157,9 @@ void print_experiment() {
                 "check.\n\n");
 }
 
-void BM_mtl_transient(benchmark::State& state) {
-    for (auto _ : state) {
-        const Waves w = run_mtl(25e-12, 8e-9);
-        benchmark::DoNotOptimize(w.far_quiet.back());
-    }
-}
-BENCHMARK(BM_mtl_transient)->Unit(benchmark::kMillisecond);
-
-void BM_mtl_extraction_2d(benchmark::State& state) {
-    for (auto _ : state) {
-        const MtlParameters p = extract_microstrip(
-            {{-0.5 * (kW + kGap), kW}, {0.5 * (kW + kGap), kW}}, kEr, kH);
-        benchmark::DoNotOptimize(p.l(0, 0));
-    }
-}
-BENCHMARK(BM_mtl_extraction_2d)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
-int main(int argc, char** argv) {
+int main() {
     print_experiment();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -13,8 +13,6 @@
 // paper) reproduces the modal structure, and that the first mode sits a few
 // percent above the half-wave estimate — the paper's signature quasi-static
 // behaviour.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
 
@@ -105,30 +103,9 @@ void print_experiment() {
                 "1.5-1.7 GHz band.\n\n");
 }
 
-void BM_patch_extraction(benchmark::State& state) {
-    const double pitch = 120e-3 / static_cast<double>(state.range(0));
-    for (auto _ : state) {
-        const PlaneBem bem = make_patch(pitch);
-        benchmark::DoNotOptimize(bem.gamma().max_abs());
-        benchmark::DoNotOptimize(bem.maxwell_capacitance().max_abs());
-    }
-}
-BENCHMARK(BM_patch_extraction)->Arg(8)->Arg(12)->Arg(14)->Unit(benchmark::kMillisecond);
-
-void BM_patch_impedance_point(benchmark::State& state) {
-    const PlaneBem bem = make_patch(120e-3 / 12);
-    const EquivalentCircuit ec = CircuitExtractor(bem).extract_full();
-    const std::size_t port = bem.mesh().nearest_node({0.005, 0.005}, 0);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(std::abs(ec.impedance(1e9, {port})(0, 0)));
-}
-BENCHMARK(BM_patch_impedance_point)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
-int main(int argc, char** argv) {
+int main() {
     print_experiment();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

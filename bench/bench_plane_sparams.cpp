@@ -14,8 +14,6 @@
 // quasi-static Green's function). The experiment reports |S21| from the
 // 42-node circuit vs the reference, and the systematic divergence of a
 // deliberately *retardation-blind* coarse model at high frequency.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
 
@@ -116,39 +114,9 @@ void print_experiment() {
     std::printf("full 5-port sweep written to bench_plane_sparams.s5p\n\n");
 }
 
-void BM_equivalent_circuit_sparams(benchmark::State& state) {
-    const PlaneBem bem(make_plane(kSide / 14));
-    std::vector<std::size_t> ports;
-    for (const Point2& p : pads()) ports.push_back(bem.mesh().nearest_node(p, 0));
-    const CircuitExtractor ex(bem);
-    const auto keep = ex.select_nodes(ports, 37);
-    const EquivalentCircuit ec = ex.extract(keep);
-    std::vector<std::size_t> port_idx;
-    for (std::size_t p : ports)
-        for (std::size_t i = 0; i < keep.size(); ++i)
-            if (keep[i] == p) port_idx.push_back(i);
-    for (auto _ : state) {
-        const MatrixC s = z_to_s(ec.impedance(5e9, port_idx), 50.0);
-        benchmark::DoNotOptimize(s(1, 0));
-    }
-}
-BENCHMARK(BM_equivalent_circuit_sparams)->Unit(benchmark::kMicrosecond);
-
-void BM_direct_sweep_point(benchmark::State& state) {
-    const PlaneBem bem(make_plane(kSide / 14));
-    const DirectSolver ref(bem, SurfaceImpedance::from_sheet_resistance(kRs));
-    const std::vector<std::size_t> p{bem.mesh().nearest_node(pads()[0], 0),
-                                     bem.mesh().nearest_node(pads()[1], 0)};
-    for (auto _ : state)
-        benchmark::DoNotOptimize(ref.port_impedance(5e9, p)(1, 0));
-}
-BENCHMARK(BM_direct_sweep_point)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
-int main(int argc, char** argv) {
+int main() {
     print_experiment();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

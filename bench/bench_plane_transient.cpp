@@ -9,8 +9,6 @@
 //
 // Both engines are rebuilt here and the Port-2 waveforms compared sample by
 // sample, plus summary metrics (peak value, arrival time, RMS difference).
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
 
@@ -149,24 +147,9 @@ void print_experiment() {
                 "bench_plane_transient.csv)\n\n");
 }
 
-void BM_circuit_transient(benchmark::State& state) {
-    for (auto _ : state) {
-        VectorD t;
-        benchmark::DoNotOptimize(run_circuit(10e-12, t).back());
-    }
-}
-BENCHMARK(BM_circuit_transient)->Unit(benchmark::kMillisecond);
-
-void BM_fdtd_transient(benchmark::State& state) {
-    for (auto _ : state) benchmark::DoNotOptimize(run_fdtd().time.back());
-}
-BENCHMARK(BM_fdtd_transient)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
-int main(int argc, char** argv) {
+int main() {
     print_experiment();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -8,8 +8,6 @@
 // extraction with every pin a circuit node, package models, 55 drivers —
 // and reports the worst-case supply noise over the board plus its spatial
 // distribution.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdio>
 
@@ -87,31 +85,9 @@ void print_experiment() {
                 "run on a workstation.)\n\n");
 }
 
-void BM_postlayout_extraction(benchmark::State& state) {
-    const Board board = make_postlayout_board(1998);
-    for (auto _ : state) {
-        const PlaneModel plane(board, board_options());
-        benchmark::DoNotOptimize(plane.circuit().node_count());
-    }
-}
-BENCHMARK(BM_postlayout_extraction)->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void BM_postlayout_transient(benchmark::State& state) {
-    auto plane = std::make_shared<PlaneModel>(make_postlayout_board(1998),
-                                              board_options());
-    const SsnModel model(plane);
-    for (auto _ : state) {
-        const TransientResult r = model.simulate(50e-12, 4e-9);
-        benchmark::DoNotOptimize(r.time.back());
-    }
-}
-BENCHMARK(BM_postlayout_transient)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 } // namespace
 
-int main(int argc, char** argv) {
+int main() {
     print_experiment();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

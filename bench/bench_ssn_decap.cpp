@@ -9,8 +9,6 @@
 //   (a) peak noise vs how many of the sixteen drivers switch together,
 //   (b) peak noise vs populated decap count (100 nF parts ringed around the
 //       chip, populated nearest-first) with all sixteen switching.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "si/ssn.hpp"
@@ -84,30 +82,9 @@ void print_experiment() {
                 "every added aggressor.\n\n");
 }
 
-void BM_board_extraction(benchmark::State& state) {
-    for (auto _ : state) {
-        const PlaneModel plane(make_ssn_eval_board(16), board_options());
-        benchmark::DoNotOptimize(plane.circuit().node_count());
-    }
-}
-BENCHMARK(BM_board_extraction)->Unit(benchmark::kMillisecond);
-
-void BM_ssn_transient(benchmark::State& state) {
-    auto plane =
-        std::make_shared<PlaneModel>(make_ssn_eval_board(16), board_options());
-    const SsnModel model(plane);
-    for (auto _ : state) {
-        const SwitchingSweepRow r = measure_noise(model, kDt, 4e-9);
-        benchmark::DoNotOptimize(r.peak_plane_noise);
-    }
-}
-BENCHMARK(BM_ssn_transient)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 } // namespace
 
-int main(int argc, char** argv) {
+int main() {
     print_experiment();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

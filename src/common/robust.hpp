@@ -15,8 +15,8 @@
 //      - transient: Newton divergence → backward-Euler retry → timestep cut
 //        (factor `timestep_cut_factor`, up to `max_timestep_cuts` levels);
 //      - DC operating point: gmin stepping, then source ramping;
-//      - iterative EM solver: preconditioner escalation Diagonal →
-//        NearFieldBlock → dense-LU fallback.
+//      - iterative EM solver: a GMRES solve that misses its tolerance is
+//        recomputed by the dense-LU direct solver for that frequency.
 //  * RecoveryReport — per-run record of every recovery taken, surfaced on
 //    TransientResult / PartitionedCosim::Result so callers can see that a
 //    result was rescued (and how) without scraping logs. Every recovery is
@@ -131,11 +131,6 @@ struct RecoveryOptions {
     double gmin_start = 1e-2;
     int source_steps = 8;
 
-    // Iterative EM solver: escalation chain on a GMRES solve that misses
-    // SolverOptions::fail_tol.
-    bool allow_precond_escalation = true;
-    bool allow_dense_fallback = true;
-
     /// 1-norm condition-number estimate above which a factorization emits a
     /// "robust.condition_warnings" counter tick (0 disables the estimate).
     double condition_warn_threshold = 1e12;
@@ -148,11 +143,12 @@ struct RecoveryOptions {
 };
 
 /// One rung up the job-retry ladder: a strictly-more-forgiving copy of
-/// `base`. Each rung deepens the transient timestep cutting, the DC
-/// continuation, and (from rung 1 on) forces the iterative-solver
-/// escalation chain fully open. Used by the batch engine, which escalates a
-/// failing job one rung per retry; a clean solve is unaffected by the rung,
-/// so escalated retries of healthy code paths stay bit-identical.
+/// `base`. Each rung deepens the transient timestep cutting and the DC
+/// continuation, and forces the Recover policy, which also opens the
+/// iterative solver's dense-LU fallback. Used by the batch engine, which
+/// escalates a failing job one rung per retry; a clean solve is unaffected
+/// by the rung, so escalated retries of healthy code paths stay
+/// bit-identical.
 RecoveryOptions escalate_one_rung(const RecoveryOptions& base);
 
 /// One recovery (or health warning) taken during a run.

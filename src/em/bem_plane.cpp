@@ -492,37 +492,33 @@ bool PlaneBem::uniform_lattice() const {
 
 const InteractionOperator& PlaneBem::potential_operator() const {
     if (!pop_) {
+        PGSI_REQUIRE(uniform_lattice(),
+                     "potential_operator requires a uniform-lattice mesh");
         const std::size_t n = mesh_.node_count();
-        if (options_.assembly != AssemblyMode::Direct && uniform_lattice()) {
-            std::vector<ToeplitzFamily> fams;
-            fams.emplace_back(node_lattice(), potential_table());
-            std::vector<std::size_t> ident(n);
-            for (std::size_t i = 0; i < n; ++i) ident[i] = i;
-            pop_ = InteractionOperator::toeplitz(std::move(fams), {std::move(ident)}, n);
-        } else {
-            pop_ = InteractionOperator::dense(&potential_matrix());
-        }
+        std::vector<ToeplitzFamily> fams;
+        fams.emplace_back(node_lattice(), potential_table());
+        std::vector<std::size_t> ident(n);
+        for (std::size_t i = 0; i < n; ++i) ident[i] = i;
+        pop_ = InteractionOperator::toeplitz(std::move(fams), {std::move(ident)}, n);
     }
     return *pop_;
 }
 
 const InteractionOperator& PlaneBem::inductance_operator() const {
     if (!lop_) {
-        const std::size_t m = mesh_.branch_count();
-        if (options_.assembly != AssemblyMode::Direct && uniform_lattice()) {
-            const BranchFamilies& bf = branch_families();
-            std::vector<ToeplitzFamily> fams;
-            std::vector<std::vector<std::size_t>> idx;
-            for (int d = 0; d < 2; ++d) {
-                fams.emplace_back(bf.lat[d], bf.idx[d].empty()
-                                                 ? std::vector<double>{}
-                                                 : inductance_table(d));
-                idx.push_back(bf.idx[d]);
-            }
-            lop_ = InteractionOperator::toeplitz(std::move(fams), std::move(idx), m);
-        } else {
-            lop_ = InteractionOperator::dense(&inductance_matrix());
+        PGSI_REQUIRE(uniform_lattice(),
+                     "inductance_operator requires a uniform-lattice mesh");
+        const BranchFamilies& bf = branch_families();
+        std::vector<ToeplitzFamily> fams;
+        std::vector<std::vector<std::size_t>> idx;
+        for (int d = 0; d < 2; ++d) {
+            fams.emplace_back(bf.lat[d], bf.idx[d].empty()
+                                             ? std::vector<double>{}
+                                             : inductance_table(d));
+            idx.push_back(bf.idx[d]);
         }
+        lop_ = InteractionOperator::toeplitz(std::move(fams), std::move(idx),
+                                             mesh_.branch_count());
     }
     return *lop_;
 }

@@ -122,12 +122,13 @@ public:
     /// precondition for the matrix-free block-Toeplitz operators.
     bool uniform_lattice() const;
 
-    /// Applier of Ppot behind the InteractionOperator interface: FFT-based
-    /// matrix-free when uniform_lattice() and the assembly mode is not
-    /// Direct, dense fallback (forcing the Ppot fill) otherwise.
+    /// Matrix-free applier of Ppot: FFT-accelerated block-Toeplitz over the
+    /// displacement table, never the dense matrix. Requires
+    /// uniform_lattice(); meshes without one are compressed into H-matrices
+    /// by the iterative solver instead (em/hmatrix.hpp).
     const InteractionOperator& potential_operator() const;
 
-    /// Applier of L (same policy as potential_operator()). The two branch
+    /// Applier of L (same contract as potential_operator()). The two branch
     /// directions form separate Toeplitz families; cross-direction entries
     /// are structurally zero.
     const InteractionOperator& inductance_operator() const;

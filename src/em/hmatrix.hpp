@@ -51,16 +51,8 @@
 
 namespace pgsi {
 
-/// When the solver setup compresses the interaction operators.
-enum class HmatrixUse {
-    Auto,  ///< compress on non-uniform meshes above the node threshold
-    Force, ///< always compress (equivalence tests / benchmarks)
-    Off    ///< never compress (dense fallback, the pre-H-matrix behavior)
-};
-
 /// Tuning knobs of the ACA/H-matrix operator path (SolverOptions::hmatrix).
 struct HmatrixOptions {
-    HmatrixUse use = HmatrixUse::Auto;
     /// Relative Frobenius tolerance of each admissible block's ACA. The
     /// end-to-end Z(f) error tracks this within about an order of magnitude,
     /// so 1e-10 holds the backend-equivalence budget of 1e-8.
@@ -71,8 +63,10 @@ struct HmatrixOptions {
     std::size_t leaf_size = 32;
     /// ACA rank budget per block before the recovery ladder engages.
     std::size_t max_rank = 64;
-    /// Auto compresses only at or above this many mesh nodes; below it the
-    /// dense operators win on constants (the small-N crossover).
+    /// make_solver's Auto backend picks the compressed iterative path on a
+    /// non-uniform mesh only at or above this many nodes; below it the dense
+    /// direct solver wins on constants (the small-N crossover). An explicit
+    /// Iterative backend compresses at any size.
     std::size_t node_threshold = 160;
 };
 

@@ -20,6 +20,21 @@ namespace pgsi {
 
 namespace {
 
+// Edge length of a near-field preconditioner tile, in mesh cells. Each tile
+// gathers the current cells whose midpoints fall in a square this many
+// pitches wide and factors their dense coupling block. Tiles must be large
+// enough to capture the local plaquette loop currents; below ~8 cells the
+// block approximation degrades visibly on stacked or multi-island meshes.
+constexpr std::size_t kTileCells = 10;
+
+// Retained recycled-subspace dimension of a sweep: the most recent solution
+// vectors, orthonormalized, with their operator component products cached so
+// re-projecting at a new frequency costs no matvecs. It sits above the
+// solution manifold's numerical rank over the band (typically 20–40 for a
+// decade-wide plane sweep); below it the eviction churn discards the
+// bracketing solutions the warm-start projection needs.
+constexpr std::size_t kRecycleDim = 48;
+
 double seconds_since(std::chrono::steady_clock::time_point t0) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
         .count();
@@ -36,10 +51,7 @@ Complex cdot(const VectorC& a, const VectorC& b) {
 
 IterativeSolver::IterativeSolver(const PlaneBem& bem, SurfaceImpedance zs,
                                  SolverOptions options)
-    : bem_(bem), zs_(zs), options_(options),
-      active_precond_(options.preconditioner) {
-    PGSI_REQUIRE(options_.precond_tile_cells >= 1,
-                 "SolverOptions: precond_tile_cells must be >= 1");
+    : bem_(bem), zs_(zs), options_(options) {
     PGSI_REQUIRE(options_.fail_tol > 0, "SolverOptions: fail_tol must be positive");
 }
 
@@ -48,16 +60,14 @@ void IterativeSolver::ensure_setup() const {
     PGSI_TRACE_SCOPE("em.iterative.setup");
     PGSI_ALLOC_SCOPE("em.iterative");
     const auto t0 = std::chrono::steady_clock::now();
-    // Operator path. On non-uniform meshes (where PlaneBem's operators would
-    // fall back to dense products, forcing an O(N²) fill) the setup instead
-    // compresses P and L into ACA/H-matrix operators sampled from the exact
-    // entry kernels — no dense matrix is ever assembled.
+    // Operator form, picked by the mesh alone: the PlaneBem's block-Toeplitz
+    // operators need a uniform lattice and a displacement table (assembly
+    // not Direct). Every other mesh compresses P and L into ACA/H-matrix
+    // operators sampled from the exact entry kernels — no dense matrix is
+    // ever assembled.
     const HmatrixOptions& hopt = options_.hmatrix;
-    const bool compress =
-        hopt.use == HmatrixUse::Force ||
-        (hopt.use == HmatrixUse::Auto &&
-         bem_.options().assembly != AssemblyMode::Direct &&
-         !bem_.uniform_lattice() && bem_.node_count() >= hopt.node_threshold);
+    const bool compress = bem_.options().assembly == AssemblyMode::Direct ||
+                          !bem_.uniform_lattice();
     if (compress) {
         const std::size_t n = bem_.node_count();
         auto hp = std::make_shared<const Hmatrix>(
@@ -110,8 +120,7 @@ void IterativeSolver::ensure_setup() const {
         stats_.hmatrix_compression =
             elems2 > 0 ? static_cast<double>(stored) / elems2 : 1.0;
     } else {
-        // Force the lazy operator builds (kernel spectra or dense fallbacks)
-        // before any solve fans out over the pool.
+        // Build the kernel spectra up front, inside the setup timing.
         bem_.potential_operator();
         bem_.inductance_operator();
     }
@@ -121,33 +130,24 @@ void IterativeSolver::ensure_setup() const {
     for (std::size_t b = 0; b < branches.size(); ++b)
         zs_scale_[b] = branches[b].length() / branches[b].width();
 
-    // The tile partition is also needed when escalation may promote a
-    // Diagonal run to NearFieldBlock mid-sweep.
-    const bool want_tiles =
-        options_.preconditioner == PreconditionerKind::NearFieldBlock ||
-        (options_.recovery.policy == robust::RecoveryPolicy::Recover &&
-         options_.recovery.allow_precond_escalation);
-    if (want_tiles) {
-        // Partition the current cells by midpoint into square geometric
-        // tiles. A tile mixes x- and y-directed cells on purpose: the local
-        // plaquette loop currents (the nullspace of the nodal term) only
-        // appear in blocks that couple both directions. std::map keeps the
-        // tile order deterministic.
-        const double tw =
-            static_cast<double>(options_.precond_tile_cells) * bem_.mesh().pitch();
-        std::map<std::pair<long, long>, std::vector<std::size_t>> groups;
-        for (std::size_t b = 0; b < branches.size(); ++b) {
-            const double mx = 0.5 * (branches[b].x0 + branches[b].x1);
-            const double my = 0.5 * (branches[b].y0 + branches[b].y1);
-            const std::pair<long, long> key{
-                static_cast<long>(std::floor(mx / tw)),
-                static_cast<long>(std::floor(my / tw))};
-            groups[key].push_back(b);
-        }
-        tiles_.clear();
-        tiles_.reserve(groups.size());
-        for (auto& [key, ids] : groups) tiles_.push_back(std::move(ids));
+    // Partition the current cells by midpoint into square geometric tiles.
+    // A tile mixes x- and y-directed cells on purpose: the local plaquette
+    // loop currents (the nullspace of the nodal term) only appear in blocks
+    // that couple both directions. std::map keeps the tile order
+    // deterministic.
+    const double tw = static_cast<double>(kTileCells) * bem_.mesh().pitch();
+    std::map<std::pair<long, long>, std::vector<std::size_t>> groups;
+    for (std::size_t b = 0; b < branches.size(); ++b) {
+        const double mx = 0.5 * (branches[b].x0 + branches[b].x1);
+        const double my = 0.5 * (branches[b].y0 + branches[b].y1);
+        const std::pair<long, long> key{
+            static_cast<long>(std::floor(mx / tw)),
+            static_cast<long>(std::floor(my / tw))};
+        groups[key].push_back(b);
     }
+    tiles_.clear();
+    tiles_.reserve(groups.size());
+    for (auto& [key, ids] : groups) tiles_.push_back(std::move(ids));
 
     // On the compressed path every entry() is a Galerkin quadrature, so
     // re-assembling preconditioner tiles per frequency would dwarf the
@@ -160,27 +160,19 @@ void IterativeSolver::ensure_setup() const {
                    hm_pop_->entry(branches[a].n2, branches[b].n1) +
                    hm_pop_->entry(branches[a].n2, branches[b].n2);
         };
-        if (want_tiles) {
-            tile_l_.resize(tiles_.size());
-            tile_s_.resize(tiles_.size());
-            par::parallel_for(tiles_.size(), [&](std::size_t ti) {
-                const auto& ids = tiles_[ti];
-                MatrixD lb(ids.size(), ids.size());
-                MatrixD sb(ids.size(), ids.size());
-                for (std::size_t r = 0; r < ids.size(); ++r)
-                    for (std::size_t c = 0; c < ids.size(); ++c) {
-                        lb(r, c) = hm_lop_->entry(ids[r], ids[c]);
-                        sb(r, c) = s_entry(ids[r], ids[c]);
-                    }
-                tile_l_[ti] = std::move(lb);
-                tile_s_[ti] = std::move(sb);
-            });
-        }
-        diag_l_.resize(branches.size());
-        diag_s_.resize(branches.size());
-        par::parallel_for(branches.size(), [&](std::size_t b) {
-            diag_l_[b] = hm_lop_->entry(b, b);
-            diag_s_[b] = s_entry(b, b);
+        tile_l_.resize(tiles_.size());
+        tile_s_.resize(tiles_.size());
+        par::parallel_for(tiles_.size(), [&](std::size_t ti) {
+            const auto& ids = tiles_[ti];
+            MatrixD lb(ids.size(), ids.size());
+            MatrixD sb(ids.size(), ids.size());
+            for (std::size_t r = 0; r < ids.size(); ++r)
+                for (std::size_t c = 0; c < ids.size(); ++c) {
+                    lb(r, c) = hm_lop_->entry(ids[r], ids[c]);
+                    sb(r, c) = s_entry(ids[r], ids[c]);
+                }
+            tile_l_[ti] = std::move(lb);
+            tile_s_[ti] = std::move(sb);
         });
     }
     stats_.setup_seconds += seconds_since(t0);
@@ -191,8 +183,8 @@ MatrixC IterativeSolver::solve_ports(
     double freq_hz, const std::vector<std::size_t>& port_nodes,
     SweepState* sweep) const {
     PGSI_ALLOC_SCOPE("em.iterative");
-    // Cancellation point: one poll per frequency; run_attempt below polls
-    // again per GMRES solve so a multi-column stall cancels mid-frequency.
+    // Cancellation point: one poll per frequency (each frequency runs one
+    // GMRES call over all of its port columns).
     if (options_.recovery.cancel != nullptr)
         options_.recovery.cancel->poll("em.iterative.solve");
     const double omega = 2.0 * pi * freq_hz;
@@ -242,84 +234,47 @@ MatrixC IterativeSolver::solve_ports(
         return v;
     };
 
-    // Preconditioner state is per-frequency (tile factors depend on ω); the
-    // builder caches, so escalating Diagonal → NearFieldBlock mid-call only
-    // pays for the blocks once.
-    LinearOpC precond;
-    std::vector<std::unique_ptr<const Lu<Complex>>> tile_lu;
-    VectorC dinv;
-    auto build_precond = [&](PreconditionerKind kind) {
-        if (kind == PreconditionerKind::NearFieldBlock) {
-            if (tile_lu.empty()) {
-                tile_lu.resize(tiles_.size());
-                par::parallel_for(tiles_.size(), [&](std::size_t ti) {
-                    const auto& ids = tiles_[ti];
-                    MatrixC blk(ids.size(), ids.size());
-                    if (!tile_l_.empty()) {
-                        // Compressed path: reassemble from the cached
-                        // frequency-independent blocks, zero kernel evals.
-                        const MatrixD& lb = tile_l_[ti];
-                        const MatrixD& sb = tile_s_[ti];
-                        for (std::size_t r = 0; r < ids.size(); ++r) {
-                            for (std::size_t c = 0; c < ids.size(); ++c)
-                                blk(r, c) =
-                                    jw * lb(r, c) + inv_jw * sb(r, c);
-                            blk(r, r) += zsb[ids[r]];
-                        }
-                    } else {
-                        for (std::size_t r = 0; r < ids.size(); ++r)
-                            for (std::size_t c = 0; c < ids.size(); ++c)
-                                blk(r, c) = a_entry(ids[r], ids[c]);
-                    }
-                    tile_lu[ti] =
-                        std::make_unique<const Lu<Complex>>(std::move(blk));
-                });
+    // Block-Jacobi preconditioner over the geometric tiles. The tile factors
+    // depend on ω, so they are rebuilt per frequency.
+    std::vector<std::unique_ptr<const Lu<Complex>>> tile_lu(tiles_.size());
+    par::parallel_for(tiles_.size(), [&](std::size_t ti) {
+        const auto& ids = tiles_[ti];
+        MatrixC blk(ids.size(), ids.size());
+        if (!tile_l_.empty()) {
+            // Compressed path: reassemble from the cached
+            // frequency-independent blocks, zero kernel evals.
+            const MatrixD& lb = tile_l_[ti];
+            const MatrixD& sb = tile_s_[ti];
+            for (std::size_t r = 0; r < ids.size(); ++r) {
+                for (std::size_t c = 0; c < ids.size(); ++c)
+                    blk(r, c) = jw * lb(r, c) + inv_jw * sb(r, c);
+                blk(r, r) += zsb[ids[r]];
             }
-            precond = [&](const VectorC& x, VectorC& y) {
-                y.resize(m); // every branch belongs to exactly one tile
-                par::parallel_for(tiles_.size(), [&](std::size_t ti) {
-                    const auto& ids = tiles_[ti];
-                    VectorC rhs(ids.size());
-                    for (std::size_t r = 0; r < ids.size(); ++r)
-                        rhs[r] = x[ids[r]];
-                    const VectorC sol = tile_lu[ti]->solve(rhs);
-                    for (std::size_t r = 0; r < ids.size(); ++r)
-                        y[ids[r]] = sol[r];
-                });
-            };
         } else {
-            if (dinv.empty()) {
-                dinv.resize(m);
-                if (!diag_l_.empty()) {
-                    for (std::size_t b = 0; b < m; ++b)
-                        dinv[b] = 1.0 / (jw * diag_l_[b] +
-                                         inv_jw * diag_s_[b] + zsb[b]);
-                } else {
-                    for (std::size_t b = 0; b < m; ++b)
-                        dinv[b] = 1.0 / a_entry(b, b);
-                }
-            }
-            precond = [&](const VectorC& x, VectorC& y) {
-                y.resize(m);
-                for (std::size_t b = 0; b < m; ++b) y[b] = dinv[b] * x[b];
-            };
+            for (std::size_t r = 0; r < ids.size(); ++r)
+                for (std::size_t c = 0; c < ids.size(); ++c)
+                    blk(r, c) = a_entry(ids[r], ids[c]);
         }
+        tile_lu[ti] = std::make_unique<const Lu<Complex>>(std::move(blk));
+    });
+    const LinearOpC precond = [&](const VectorC& x, VectorC& y) {
+        y.resize(m); // every branch belongs to exactly one tile
+        par::parallel_for(tiles_.size(), [&](std::size_t ti) {
+            const auto& ids = tiles_[ti];
+            VectorC rhs(ids.size());
+            for (std::size_t r = 0; r < ids.size(); ++r) rhs[r] = x[ids[r]];
+            const VectorC sol = tile_lu[ti]->solve(rhs);
+            for (std::size_t r = 0; r < ids.size(); ++r) y[ids[r]] = sol[r];
+        });
     };
-    // Escalation is sticky: start from the strongest kind any earlier
-    // frequency needed instead of re-paying the stall per point.
-    PreconditionerKind kind = active_precond_.load(std::memory_order_relaxed);
-    build_precond(kind);
 
-    const bool recover =
-        options_.recovery.policy == robust::RecoveryPolicy::Recover;
     robust::RecoveryReport local_report;
     MatrixC z(p, p);
-    std::size_t iters = 0, matvecs = 0, restarts = 0;
-    std::size_t escalations = 0, block_solves = 0, solves_attempted = 0;
+    std::size_t iters = 0, matvecs = 0, restarts = 0, block_solves = 0;
     std::size_t recycle_hits = 0, recycle_applies = 0;
     bool warm_started = false;
-    // Convergence stream: GMRES iterations per port column at this
-    // frequency, with marks where the preconditioner ladder escalated.
+    // Convergence stream: GMRES iterations against the number of port
+    // columns solved at this frequency, with a mark on a dense fallback.
     const std::size_t sid = obs::streams_enabled()
                                 ? obs::stream_open("em.iterative.columns")
                                 : obs::kStreamNone;
@@ -358,10 +313,9 @@ MatrixC IterativeSolver::solve_ports(
     // Initial guesses. With a recycled subspace U on hand, A(ω)·U recombines
     // from the cached component products (no operator applications), and
     // each column warm-starts from the least-squares projection
-    // x0 = U argmin_y |b − A(ω) U y|. With recycling off, the previous
-    // frequency's solutions seed verbatim.
+    // x0 = U argmin_y |b − A(ω) U y|.
     std::vector<VectorC> x0(p, VectorC(m, Complex{}));
-    if (sweep && options_.sweep.warm_start) {
+    if (sweep) {
         const std::size_t d = sweep->basis_u.size();
         if (d > 0) {
             std::vector<VectorC> au(d, VectorC(m));
@@ -428,106 +382,57 @@ MatrixC IterativeSolver::solve_ports(
                 }
             }
             warm_started = true;
-        } else if (sweep->prev_solution.size() == p) {
-            x0 = sweep->prev_solution;
-            warm_started = true;
         }
     }
 
-    // Column solves with recovery. `ok` / `colres` track each column's
-    // state so escalation retries only the columns that actually stalled
-    // and the stats attribute only work actually performed.
-    std::vector<VectorC> cur(p);
+    // One GMRES call per frequency: a block solve over all port columns
+    // (shared Arnoldi basis, per-column convergence, deflation), or plain
+    // GMRES for a single column. The block shares one inner-iteration
+    // budget across its columns; scale it so each column keeps the
+    // allowance of a single-column solve.
+    std::vector<VectorC> cur = std::move(x0);
     std::vector<double> colres(p, 1.0);
-    std::vector<bool> ok(p, false);
-    auto run_attempt = [&]() {
-        if (options_.recovery.cancel != nullptr)
-            options_.recovery.cancel->poll("em.iterative.gmres");
-        std::vector<std::size_t> pend;
-        for (std::size_t k = 0; k < p; ++k)
-            if (!ok[k]) pend.push_back(k);
-        if (options_.sweep.block_solve && pend.size() > 1) {
-            std::vector<VectorC> bcols(pend.size()), xcols(pend.size());
-            for (std::size_t i = 0; i < pend.size(); ++i) {
-                bcols[i] = rhs[pend[i]];
-                xcols[i] = x0[pend[i]];
-            }
-            // The block shares one inner-iteration budget across its
-            // columns; scale it so each column keeps the same allowance the
-            // per-column path would grant.
-            GmresOptions bopt = options_.gmres;
-            bopt.max_iterations *= pend.size();
-            const BlockGmresResult br =
-                block_gmres(apply, bcols, xcols, bopt, precond);
-            ++block_solves;
-            solves_attempted += pend.size();
-            iters += br.iterations;
-            matvecs += br.matvecs;
-            restarts += br.cycles;
-            for (std::size_t i = 0; i < pend.size(); ++i) {
-                const std::size_t k = pend[i];
-                colres[k] = br.residuals[i];
-                cur[k] = std::move(xcols[i]);
-                ok[k] = colres[k] <= options_.fail_tol &&
-                        robust::all_finite(cur[k]);
-            }
-            if (sid != obs::kStreamNone)
-                obs::stream_append(sid, static_cast<double>(pend.size()),
-                                   static_cast<double>(br.iterations));
-        } else {
-            for (const std::size_t k : pend) {
-                if (options_.recovery.cancel != nullptr)
-                    options_.recovery.cancel->poll("em.iterative.gmres");
-                VectorC v = x0[k];
-                const GmresResult gr =
-                    gmres(apply, rhs[k], v, options_.gmres, precond);
-                ++solves_attempted;
-                iters += gr.iterations;
-                matvecs += gr.matvecs;
-                restarts += gr.restarts;
-                colres[k] = gr.residual;
-                cur[k] = std::move(v);
-                ok[k] = colres[k] <= options_.fail_tol &&
-                        robust::all_finite(cur[k]);
-                if (!ok[k]) break; // escalate before touching later columns
-                if (sid != obs::kStreamNone)
-                    obs::stream_append(sid, static_cast<double>(k),
-                                       static_cast<double>(gr.iterations));
-            }
-        }
-        for (std::size_t k = 0; k < p; ++k)
-            if (!ok[k]) return false;
-        return true;
-    };
-
-    bool all_ok = run_attempt();
-    double worst_bad = 0;
-    for (std::size_t k = 0; k < p; ++k)
-        if (!ok[k]) worst_bad = std::max(worst_bad, colres[k]);
-
-    // Escalation rung 1: the stronger block-Jacobi preconditioner, sticky
-    // for the rest of this solver's lifetime.
-    if (!all_ok && recover && options_.recovery.allow_precond_escalation &&
-        kind == PreconditionerKind::Diagonal) {
-        kind = PreconditionerKind::NearFieldBlock;
-        active_precond_.store(kind, std::memory_order_relaxed);
-        build_precond(kind);
-        ++escalations;
-        if (sid != obs::kStreamNone)
-            obs::stream_mark(sid, 0.0, "escalate:near_field_block");
-        if (!escalation_noted_.exchange(true))
-            robust::note_recovery(
-                &local_report, "em.precond_escalation",
-                "GMRES stalled at residual " + std::to_string(worst_bad) +
-                    " at f = " + std::to_string(freq_hz) +
-                    " Hz; escalated Diagonal -> NearFieldBlock (sticky)");
-        all_ok = run_attempt();
-        worst_bad = 0;
-        for (std::size_t k = 0; k < p; ++k)
-            if (!ok[k]) worst_bad = std::max(worst_bad, colres[k]);
+    if (p > 1) {
+        GmresOptions bopt = options_.gmres;
+        bopt.max_iterations *= p;
+        const BlockGmresResult br = block_gmres(apply, rhs, cur, bopt, precond);
+        block_solves = 1;
+        iters = br.iterations;
+        matvecs = br.matvecs;
+        restarts = br.cycles;
+        colres = br.residuals;
+    } else {
+        const GmresResult gr =
+            gmres(apply, rhs[0], cur[0], options_.gmres, precond);
+        iters = gr.iterations;
+        matvecs = gr.matvecs;
+        restarts = gr.restarts;
+        colres[0] = gr.residual;
     }
-    // Escalation rung 2: dense LU for the whole frequency point.
-    if (!all_ok && recover && options_.recovery.allow_dense_fallback) {
+    if (sid != obs::kStreamNone)
+        obs::stream_append(sid, static_cast<double>(p),
+                           static_cast<double>(iters));
+    std::vector<bool> ok(p);
+    bool all_ok = true;
+    double worst_bad = 0;
+    for (std::size_t k = 0; k < p; ++k) {
+        ok[k] = colres[k] <= options_.fail_tol && robust::all_finite(cur[k]);
+        if (!ok[k]) worst_bad = std::max(worst_bad, colres[k]);
+        all_ok = all_ok && ok[k];
+    }
+    if (!all_ok &&
+        options_.recovery.policy != robust::RecoveryPolicy::Recover)
+        throw NumericalError(
+            "IterativeSolver: GMRES stalled at relative residual " +
+            std::to_string(worst_bad) + " (fail_tol " +
+            std::to_string(options_.fail_tol) + ") at f = " +
+            std::to_string(freq_hz) + " Hz");
+
+    std::size_t saved_iters = 0;
+    if (!all_ok) {
+        // Recovery: dense LU for the whole frequency point. It replaces the
+        // GMRES results but not the fact that the work happened, so the
+        // stats below still count it.
         if (sid != obs::kStreamNone)
             obs::stream_mark(sid, 0.0, "escalate:dense_fallback");
         robust::note_recovery(
@@ -535,65 +440,33 @@ MatrixC IterativeSolver::solve_ports(
             "GMRES stalled at residual " + std::to_string(worst_bad) +
                 " at f = " + std::to_string(freq_hz) +
                 " Hz; recomputed the frequency with the dense solver");
-        MatrixC zd = dense_solver().port_impedance(freq_hz, port_nodes);
-        const std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.frequencies;
-        // Attribute only the column solves GMRES actually ran, and fold the
-        // residuals of the columns that did complete into the worst-residual
-        // telemetry — the dense recomputation replaces their results but not
-        // the fact that the work happened.
-        stats_.solves += solves_attempted;
-        stats_.block_solves += block_solves;
-        stats_.iterations += iters;
-        stats_.matvecs += matvecs;
-        stats_.restarts += restarts;
-        stats_.precond_escalations += escalations;
-        ++stats_.dense_fallbacks;
-        for (std::size_t k = 0; k < p; ++k)
-            if (ok[k])
-                stats_.worst_residual =
-                    std::max(stats_.worst_residual, colres[k]);
+        z = dense_solver().port_impedance(freq_hz, port_nodes);
+    } else {
+        // V = (1/jw) Ppot (J − Pᵀ I); Z(q, k) = V at port q.
+        for (std::size_t k = 0; k < p; ++k) {
+            std::fill(tnode.begin(), tnode.end(), Complex{});
+            tnode[port_nodes[k]] = Complex(1.0, 0.0);
+            for (std::size_t b = 0; b < m; ++b) {
+                tnode[branches[b].n1] -= cur[k][b];
+                tnode[branches[b].n2] += cur[k][b];
+            }
+            pop.apply(tnode, unode);
+            for (std::size_t q = 0; q < p; ++q)
+                z(q, k) = inv_jw * unode[port_nodes[q]];
+        }
+
+        // Grow the recycled subspace with this frequency's solutions:
+        // modified Gram-Schmidt against the existing basis, then cache the
+        // operator component products (one L and one P·Ppot·Pᵀ application
+        // per retained vector) so any later frequency recombines A(ω)·u for
+        // free. Solutions are the right thing to recycle — they sample the
+        // analytic solution manifold x(ω), which the multilevel sweep order
+        // then lets every later point interpolate; recycling raw Krylov
+        // directions instead floods the basis with one point's fine
+        // corrections and evicts that manifold. Oldest vectors are evicted
+        // first; dropping a vector from an orthonormal set keeps it
+        // orthonormal.
         if (sweep) {
-            ++stats_.sweep_points;
-            if (warm_started) ++stats_.warm_starts;
-            stats_.recycle_hits += recycle_hits;
-        }
-        report_.merge(local_report);
-        return zd;
-    }
-    if (!all_ok)
-        throw NumericalError(
-            "IterativeSolver: GMRES stalled at relative residual " +
-            std::to_string(worst_bad) + " (fail_tol " +
-            std::to_string(options_.fail_tol) + ") at f = " +
-            std::to_string(freq_hz) + " Hz");
-
-    // V = (1/jw) Ppot (J − Pᵀ I); Z(q, k) = V at port q.
-    for (std::size_t k = 0; k < p; ++k) {
-        std::fill(tnode.begin(), tnode.end(), Complex{});
-        tnode[port_nodes[k]] = Complex(1.0, 0.0);
-        for (std::size_t b = 0; b < m; ++b) {
-            tnode[branches[b].n1] -= cur[k][b];
-            tnode[branches[b].n2] += cur[k][b];
-        }
-        pop.apply(tnode, unode);
-        for (std::size_t q = 0; q < p; ++q)
-            z(q, k) = inv_jw * unode[port_nodes[q]];
-    }
-
-    // Grow the recycled subspace with this frequency's solutions: modified
-    // Gram-Schmidt against the existing basis, then cache the operator
-    // component products (one L and one P·Ppot·Pᵀ application per retained
-    // vector) so any later frequency recombines A(ω)·u for free. Solutions
-    // are the right thing to recycle — they sample the analytic solution
-    // manifold x(ω), which the multilevel sweep order then lets every later
-    // point interpolate; recycling raw Krylov directions instead floods the
-    // basis with one point's fine corrections and evicts that manifold.
-    // Oldest vectors are evicted first; dropping a vector from an
-    // orthonormal set keeps it orthonormal.
-    std::size_t saved_iters = 0;
-    if (sweep) {
-        if (options_.sweep.warm_start && options_.sweep.recycle_dim > 0) {
             for (std::size_t k = 0; k < p; ++k) {
                 VectorC u = cur[k];
                 const double xn = norm2(u);
@@ -624,19 +497,18 @@ MatrixC IterativeSolver::solve_ports(
                 sweep->basis_l.push_back(std::move(lu));
                 sweep->basis_s.push_back(std::move(su));
             }
-            while (sweep->basis_u.size() > options_.sweep.recycle_dim) {
+            while (sweep->basis_u.size() > kRecycleDim) {
                 sweep->basis_u.erase(sweep->basis_u.begin());
                 sweep->basis_d.erase(sweep->basis_d.begin());
                 sweep->basis_l.erase(sweep->basis_l.begin());
                 sweep->basis_s.erase(sweep->basis_s.begin());
             }
-        }
-        sweep->prev_solution = std::move(cur);
-        if (!sweep->have_cold) {
-            sweep->have_cold = true;
-            sweep->cold_iterations = iters;
-        } else if (iters < sweep->cold_iterations) {
-            saved_iters = sweep->cold_iterations - iters;
+            if (!sweep->have_cold) {
+                sweep->have_cold = true;
+                sweep->cold_iterations = iters;
+            } else if (iters < sweep->cold_iterations) {
+                saved_iters = sweep->cold_iterations - iters;
+            }
         }
     }
 
@@ -647,14 +519,18 @@ MatrixC IterativeSolver::solve_ports(
             obs::counter("em.sweep.saved_iterations");
         const std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.frequencies;
-        stats_.solves += solves_attempted;
+        stats_.solves += p;
         stats_.block_solves += block_solves;
         stats_.iterations += iters;
         stats_.matvecs += matvecs;
         stats_.restarts += restarts;
-        stats_.precond_escalations += escalations;
+        if (!all_ok) ++stats_.dense_fallbacks;
+        // Residuals of the columns that converged, even when a dense
+        // fallback replaced the frequency's results.
         for (std::size_t k = 0; k < p; ++k)
-            stats_.worst_residual = std::max(stats_.worst_residual, colres[k]);
+            if (ok[k])
+                stats_.worst_residual =
+                    std::max(stats_.worst_residual, colres[k]);
         if (sweep) {
             ++stats_.sweep_points;
             if (warm_started) {
@@ -700,19 +576,16 @@ MatrixC IterativeSolver::port_impedance(
 std::vector<MatrixC> IterativeSolver::sweep_impedance(
     const VectorD& freqs_hz, const std::vector<std::size_t>& port_nodes) const {
     PGSI_TRACE_SCOPE("em.solve.sweep");
-    ensure_setup();
-    std::vector<MatrixC> out(freqs_hz.size());
-    if (!options_.sweep.engine || freqs_hz.size() < 2) {
-        // Independent cold solves fanned out over the pool; the FFT/GMRES
-        // kernels run inline inside pool workers (the sweep level owns the
-        // parallelism).
-        par::parallel_for(freqs_hz.size(), [&](std::size_t i) {
-            out[i] = port_impedance(freqs_hz[i], port_nodes);
-        });
+    if (freqs_hz.size() < 2) {
+        std::vector<MatrixC> out;
+        for (const double f : freqs_hz)
+            out.push_back(port_impedance(f, port_nodes));
         return out;
     }
+    ensure_setup();
+    std::vector<MatrixC> out(freqs_hz.size());
     // Sweep engine: frequencies run sequentially so each point reuses the
-    // previous points' Krylov work (warm starts, recycled subspace, cached
+    // previous points' Krylov work (recycled-subspace warm starts, cached
     // rhs bases). The kernels inside each point still use the pool, and all
     // cross-frequency decisions are serial, so results are bitwise
     // independent of the thread count. Validation of the inputs matches
@@ -725,32 +598,24 @@ std::vector<MatrixC> IterativeSolver::sweep_impedance(
                                 ? obs::stream_open("em.sweep.iterations")
                                 : obs::kStreamNone;
     // Multilevel solve order: endpoints first, then level-by-level segment
-    // midpoints (breadth-first bisection). With subspace recycling on, each
-    // later point is bracketed by already-solved frequencies, so the
-    // warm-start projection interpolates instead of extrapolating — the
-    // projected initial residual drops by orders of magnitude, which is
-    // where the sweep's matvec savings come from. Without recycling the
-    // natural order is kept: the previous-solution seed wants adjacency.
-    std::vector<std::size_t> order;
-    order.reserve(freqs_hz.size());
-    if (options_.sweep.warm_start && options_.sweep.recycle_dim > 0) {
-        order.push_back(0);
-        order.push_back(freqs_hz.size() - 1);
-        std::vector<std::pair<std::size_t, std::size_t>> level{
-            {0, freqs_hz.size() - 1}};
-        while (!level.empty()) {
-            std::vector<std::pair<std::size_t, std::size_t>> next;
-            for (const auto& [lo, hi] : level) {
-                const std::size_t mid = lo + (hi - lo) / 2;
-                if (mid == lo || mid == hi) continue;
-                order.push_back(mid);
-                next.emplace_back(lo, mid);
-                next.emplace_back(mid, hi);
-            }
-            level = std::move(next);
+    // midpoints (breadth-first bisection). Each later point is bracketed by
+    // already-solved frequencies, so the warm-start projection interpolates
+    // instead of extrapolating — the projected initial residual drops by
+    // orders of magnitude, which is where the sweep's matvec savings come
+    // from.
+    std::vector<std::size_t> order{0, freqs_hz.size() - 1};
+    std::vector<std::pair<std::size_t, std::size_t>> level{
+        {0, freqs_hz.size() - 1}};
+    while (!level.empty()) {
+        std::vector<std::pair<std::size_t, std::size_t>> next;
+        for (const auto& [lo, hi] : level) {
+            const std::size_t mid = lo + (hi - lo) / 2;
+            if (mid == lo || mid == hi) continue;
+            order.push_back(mid);
+            next.emplace_back(lo, mid);
+            next.emplace_back(mid, hi);
         }
-    } else {
-        for (std::size_t i = 0; i < freqs_hz.size(); ++i) order.push_back(i);
+        level = std::move(next);
     }
     SweepState sweep;
     for (const std::size_t i : order) {
@@ -786,7 +651,6 @@ std::unique_ptr<PlaneSolver> make_solver(const PlaneBem& bem,
         const bool toeplitz = assembly_ok && bem.uniform_lattice() &&
                               bem.node_count() >= options.auto_node_threshold;
         const bool hmat = !toeplitz && assembly_ok && !bem.uniform_lattice() &&
-                          options.hmatrix.use != HmatrixUse::Off &&
                           bem.node_count() >= options.hmatrix.node_threshold;
         backend = (toeplitz || hmat) ? SolverBackend::Iterative
                                      : SolverBackend::Direct;

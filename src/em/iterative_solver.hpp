@@ -8,29 +8,25 @@
 //                   b = (1/jω) P Ppot J
 //
 // (the nodal unknowns V = Ppot·Q eliminated through charge conservation
-// Q = (J − PᵀI)/jω), and L / Ppot act through the FFT-accelerated
-// block-Toeplitz InteractionOperators of the PlaneBem — O(M log M) per
-// application. The Krylov solver is restarted GMRES with a right
-// preconditioner:
-//
-//   * Diagonal — Jacobi on A's diagonal; cheap but weak, because the nodal
-//     term P Ppot Pᵀ annihilates mesh loop currents (its nullspace), where
-//     A reduces to the off-diagonally dominated jωL;
-//   * NearFieldBlock (default) — block-Jacobi over geometric tiles of
-//     current cells. A tile spans both branch directions, so the local
-//     plaquette loops that the diagonal cannot see are captured by the
-//     tile's dense factorization.
+// Q = (J − PᵀI)/jω), and L / Ppot act through InteractionOperators that
+// never store the dense matrices. The mesh alone picks their form: the
+// PlaneBem's FFT-accelerated block-Toeplitz operators (O(M log M) per
+// application) when it has a uniform lattice and a displacement table
+// (assembly mode not Direct), ACA/H-matrix compressions of the exact entry
+// kernels (em/hmatrix.hpp) otherwise. The Krylov solver is restarted GMRES,
+// right-preconditioned by block-Jacobi over 10-cell geometric tiles of
+// current cells. A tile spans both branch directions, so the local
+// plaquette loop currents — the nullspace of the nodal term P Ppot Pᵀ,
+// where A reduces to the off-diagonally dominated jωL — are captured by the
+// tile's dense factorization.
 //
 // Port impedances follow from V = (1/jω) Ppot (J − Pᵀ I). Results agree
-// with DirectSolver to the GMRES tolerance; a solve whose true residual
-// exceeds SolverOptions::fail_tol throws instead of returning a silently
-// inaccurate Z. On non-uniform meshes the setup compresses P and L into
-// ACA/H-matrix operators (em/hmatrix.hpp) — O(N log N) assembly and apply —
-// per SolverOptions::hmatrix; only tiny meshes (or HmatrixUse::Off) keep the
-// exact dense-product fallback.
+// with DirectSolver to the GMRES tolerance. A solve whose true residual
+// exceeds SolverOptions::fail_tol is recomputed by the dense direct solver
+// under RecoveryPolicy::Recover, and throws under Strict, instead of
+// returning a silently inaccurate Z.
 #pragma once
 
-#include <atomic>
 #include <mutex>
 #include <optional>
 #include <vector>
@@ -43,16 +39,15 @@ namespace pgsi {
 /// it has processed.
 struct IterativeSolverStats {
     std::size_t frequencies = 0; ///< port_impedance evaluations
-    /// Column solves actually attempted (one per port column per attempt in
-    /// the per-column path; the full column count for a block solve). A
-    /// frequency that fell back to the dense solver contributes only the
-    /// columns GMRES actually worked on.
+    /// Port-column solves attempted, including those of a frequency that
+    /// then fell back to the dense solver.
     std::size_t solves = 0;
     std::size_t block_solves = 0; ///< multi-RHS block GMRES calls
     std::size_t iterations = 0;  ///< total inner GMRES iterations
     std::size_t matvecs = 0;     ///< total operator applications
     std::size_t restarts = 0;    ///< total restart / seed cycles
-    /// Stalled solves recovered by escalating Diagonal → NearFieldBlock.
+    /// Always 0: the solver has a single preconditioner and no escalation
+    /// rung. Kept so existing telemetry readers keep their field.
     std::size_t precond_escalations = 0;
     /// Frequency points recovered by falling back to the dense solver.
     std::size_t dense_fallbacks = 0;
@@ -106,22 +101,19 @@ public:
     /// read while a sweep is in flight.
     const IterativeSolverStats& stats() const { return stats_; }
 
-    /// Recoveries performed so far (preconditioner escalations, dense
-    /// fallbacks). Do not read while a sweep is in flight.
+    /// Recoveries performed so far (dense fallbacks, H-matrix ACA ladder).
+    /// Do not read while a sweep is in flight.
     const robust::RecoveryReport& recovery_report() const { return report_; }
 
 private:
-    /// Cross-frequency state threaded through one sweep_impedance call when
-    /// the sweep engine is on. Owned by the (sequential) sweep loop — never
+    /// Cross-frequency state threaded through one multi-point
+    /// sweep_impedance call. Owned by the sequential sweep loop — never
     /// shared between threads.
     struct SweepState {
         /// Frequency-independent part of each port column's right-hand side
         /// (P Ppot e_port differences); the per-frequency rhs is 1/jω times
         /// this, so repeat frequencies skip the potential-operator apply.
         std::vector<VectorC> rhs_base;
-        /// Previous frequency's solution columns, the warm-start seed when
-        /// recycling is off.
-        std::vector<VectorC> prev_solution;
         /// Recycled subspace: orthonormal basis u with the operator
         /// component products cached per vector (d = len/w scaling, l = L·u,
         /// s = P Ppot Pᵀ u), so A(ω)·u recombines at any ω without matvecs.
@@ -143,26 +135,17 @@ private:
     SolverOptions options_;
 
     mutable bool setup_done_ = false;
-    /// ACA-compressed P and L operators when the setup chose the H-matrix
-    /// path (see SolverOptions::hmatrix); empty on the Toeplitz/dense paths.
+    /// ACA-compressed P and L operators when the mesh has no Toeplitz form;
+    /// empty on the Toeplitz path.
     mutable std::optional<InteractionOperator> hm_pop_, hm_lop_;
     mutable std::vector<double> zs_scale_;              ///< len/width per branch
     mutable std::vector<std::vector<std::size_t>> tiles_; ///< branch ids per tile
-    /// Frequency-independent preconditioner entries, cached only on the
+    /// Frequency-independent preconditioner blocks, cached only on the
     /// compressed path where per-entry kernels are Galerkin quadratures:
-    /// per-tile L and S = PᵀPpotP blocks, plus their diagonals for the
-    /// Jacobi kind. A(ω) tiles reassemble as jωL + S/jω + Zs without
-    /// re-sampling a single kernel.
+    /// per-tile L and S = PᵀPpotP blocks. A(ω) tiles reassemble as
+    /// jωL + S/jω + Zs without re-sampling a single kernel.
     mutable std::vector<MatrixD> tile_l_, tile_s_;
-    mutable std::vector<double> diag_l_, diag_s_;
-    /// Current preconditioner rung. Escalation is sticky for the lifetime of
-    /// the solver: once a stall promoted Diagonal → NearFieldBlock, every
-    /// later frequency starts from the stronger kind instead of re-paying
-    /// the stall. Atomic because legacy (non-engine) sweeps solve
-    /// frequencies on pool workers.
-    mutable std::atomic<PreconditionerKind> active_precond_;
-    mutable std::atomic<bool> escalation_noted_{false}; // report once
-    mutable std::mutex stats_mu_; // sweeps update stats_ from pool workers
+    mutable std::mutex stats_mu_; // port_impedance may run on several threads
     mutable IterativeSolverStats stats_;
     mutable robust::RecoveryReport report_;
     mutable std::mutex dense_mu_; // lazy dense fallback construction

@@ -93,89 +93,59 @@ void ToeplitzFamily::apply(const Complex* x, Complex* y) const {
     }
 }
 
+void InteractionOperator::map_families(const std::vector<std::size_t>& counts) {
+    PGSI_REQUIRE(counts.size() == idx_.size(),
+                 "InteractionOperator: one index map per family required");
+    family_of_.assign(size_, -1);
+    local_of_.assign(size_, 0);
+    for (std::size_t f = 0; f < idx_.size(); ++f) {
+        PGSI_REQUIRE(idx_[f].size() == counts[f],
+                     "InteractionOperator: index map size mismatch");
+        for (std::size_t e = 0; e < idx_[f].size(); ++e) {
+            const std::size_t g = idx_[f][e];
+            PGSI_REQUIRE(g < size_ && family_of_[g] < 0,
+                         "InteractionOperator: families must partition the index space");
+            family_of_[g] = static_cast<int>(f);
+            local_of_[g] = e;
+        }
+    }
+    for (std::size_t g = 0; g < size_; ++g)
+        PGSI_REQUIRE(family_of_[g] >= 0,
+                     "InteractionOperator: families must cover the index space");
+}
+
 InteractionOperator InteractionOperator::toeplitz(
     std::vector<ToeplitzFamily> families,
     std::vector<std::vector<std::size_t>> idx, std::size_t size) {
-    PGSI_REQUIRE(families.size() == idx.size(),
-                 "InteractionOperator: one index map per family required");
     InteractionOperator op;
     op.size_ = size;
     op.families_ = std::move(families);
     op.idx_ = std::move(idx);
-    op.family_of_.assign(size, -1);
-    op.local_of_.assign(size, 0);
-    for (std::size_t f = 0; f < op.families_.size(); ++f) {
-        PGSI_REQUIRE(op.idx_[f].size() == op.families_[f].count(),
-                     "InteractionOperator: index map size mismatch");
-        for (std::size_t e = 0; e < op.idx_[f].size(); ++e) {
-            const std::size_t g = op.idx_[f][e];
-            PGSI_REQUIRE(g < size && op.family_of_[g] < 0,
-                         "InteractionOperator: families must partition the index space");
-            op.family_of_[g] = static_cast<int>(f);
-            op.local_of_[g] = e;
-        }
-    }
-    for (std::size_t g = 0; g < size; ++g)
-        PGSI_REQUIRE(op.family_of_[g] >= 0,
-                     "InteractionOperator: families must cover the index space");
+    std::vector<std::size_t> counts;
+    for (const ToeplitzFamily& fam : op.families_) counts.push_back(fam.count());
+    op.map_families(counts);
     return op;
 }
 
 InteractionOperator InteractionOperator::hmatrix(
     std::vector<std::shared_ptr<const Hmatrix>> parts,
     std::vector<std::vector<std::size_t>> idx, std::size_t size) {
-    PGSI_REQUIRE(parts.size() == idx.size(),
-                 "InteractionOperator: one index map per H-matrix required");
     InteractionOperator op;
     op.size_ = size;
     op.hmats_ = std::move(parts);
     op.idx_ = std::move(idx);
-    op.family_of_.assign(size, -1);
-    op.local_of_.assign(size, 0);
-    for (std::size_t f = 0; f < op.hmats_.size(); ++f) {
-        PGSI_REQUIRE(op.hmats_[f] != nullptr,
-                     "InteractionOperator: null H-matrix part");
-        PGSI_REQUIRE(op.idx_[f].size() == op.hmats_[f]->size(),
-                     "InteractionOperator: index map size mismatch");
-        for (std::size_t e = 0; e < op.idx_[f].size(); ++e) {
-            const std::size_t g = op.idx_[f][e];
-            PGSI_REQUIRE(g < size && op.family_of_[g] < 0,
-                         "InteractionOperator: families must partition the index space");
-            op.family_of_[g] = static_cast<int>(f);
-            op.local_of_[g] = e;
-        }
+    std::vector<std::size_t> counts;
+    for (const auto& part : op.hmats_) {
+        PGSI_REQUIRE(part != nullptr, "InteractionOperator: null H-matrix part");
+        counts.push_back(part->size());
     }
-    for (std::size_t g = 0; g < size; ++g)
-        PGSI_REQUIRE(op.family_of_[g] >= 0,
-                     "InteractionOperator: families must cover the index space");
-    return op;
-}
-
-InteractionOperator InteractionOperator::dense(const MatrixD* m) {
-    PGSI_REQUIRE(m != nullptr && m->rows() == m->cols(),
-                 "InteractionOperator: dense matrix must be square");
-    InteractionOperator op;
-    op.size_ = m->rows();
-    op.dense_ = m;
+    op.map_families(counts);
     return op;
 }
 
 void InteractionOperator::apply(const VectorC& x, VectorC& y) const {
     PGSI_REQUIRE(x.size() == size_, "InteractionOperator: size mismatch");
     y.assign(size_, Complex{});
-    if (dense_) {
-        static obs::Counter& c_dense = obs::counter("interaction_op.dense_applies");
-        ++c_dense;
-        par::parallel_for_chunked(size_, 0, [&](std::size_t r0, std::size_t r1) {
-            for (std::size_t i = r0; i < r1; ++i) {
-                const double* row = dense_->row(i);
-                Complex s{};
-                for (std::size_t j = 0; j < size_; ++j) s += row[j] * x[j];
-                y[i] = s;
-            }
-        });
-        return;
-    }
     if (!hmats_.empty()) {
         static obs::Counter& c_hm = obs::counter("interaction_op.hmatrix_applies");
         ++c_hm;
@@ -205,7 +175,6 @@ void InteractionOperator::apply(const VectorC& x, VectorC& y) const {
 
 double InteractionOperator::entry(std::size_t i, std::size_t j) const {
     PGSI_ASSERT(i < size_ && j < size_);
-    if (dense_) return (*dense_)(i, j);
     if (family_of_[i] != family_of_[j]) return 0.0;
     const std::size_t f = static_cast<std::size_t>(family_of_[i]);
     if (!hmats_.empty()) return hmats_[f]->entry(local_of_[i], local_of_[j]);

@@ -20,8 +20,8 @@
 //
 // InteractionOperator is the uniform front the solvers consume: it applies
 // either a set of Toeplitz element families (x/y current cells are separate,
-// mutually uncoupled families) or a plain dense matrix on meshes without the
-// lattice structure.
+// mutually uncoupled families) or, on meshes without the lattice structure,
+// a set of ACA-compressed H-matrices. Neither form stores the dense matrix.
 #pragma once
 
 #include <memory>
@@ -63,10 +63,9 @@ private:
     Fft fx_, fy_;
 };
 
-/// One assembled interaction matrix behind a uniform apply/entry interface:
-/// matrix-free via Toeplitz families on uniform meshes or ACA-compressed
-/// H-matrices (em/hmatrix.hpp) on non-uniform ones, dense fallback otherwise.
-/// Cross-family entries are structurally zero.
+/// One interaction matrix behind a uniform apply/entry interface: Toeplitz
+/// families on uniform meshes or ACA-compressed H-matrices (em/hmatrix.hpp)
+/// on non-uniform ones. Cross-family entries are structurally zero.
 class InteractionOperator {
 public:
     /// Matrix-free form. idx[f] maps family-f-local element order to global
@@ -81,14 +80,8 @@ public:
         std::vector<std::shared_ptr<const Hmatrix>> parts,
         std::vector<std::vector<std::size_t>> idx, std::size_t size);
 
-    /// Dense form over an externally owned matrix (must outlive the operator).
-    static InteractionOperator dense(const MatrixD* m);
-
     std::size_t size() const { return size_; }
-    bool matrix_free() const { return dense_ == nullptr; }
-    /// True for the H-matrix (ACA-compressed) form.
-    bool compressed() const { return !hmats_.empty(); }
-    /// The H-matrix parts (empty unless compressed()) — build telemetry.
+    /// The H-matrix parts (empty for the Toeplitz form) — build telemetry.
     const std::vector<std::shared_ptr<const Hmatrix>>& hmatrix_parts() const {
         return hmats_;
     }
@@ -96,14 +89,17 @@ public:
     /// y = A x (y is resized and overwritten).
     void apply(const VectorC& x, VectorC& y) const;
 
-    /// Exact matrix entry (table lookup or dense read).
+    /// Exact matrix entry (table lookup or H-matrix read).
     double entry(std::size_t i, std::size_t j) const;
 
 private:
     InteractionOperator() = default;
 
+    /// Fill family_of_/local_of_ from idx_; counts[f] is family f's size.
+    /// The families must partition [0, size_).
+    void map_families(const std::vector<std::size_t>& counts);
+
     std::size_t size_ = 0;
-    const MatrixD* dense_ = nullptr;
     std::vector<ToeplitzFamily> families_;
     std::vector<std::shared_ptr<const Hmatrix>> hmats_;
     std::vector<std::vector<std::size_t>> idx_;

@@ -148,6 +148,21 @@ struct Walker {
 BenchGateResult compare_bench(const JsonValue& fresh, const JsonValue& golden,
                               const BenchGateOptions& opt) {
     BenchGateResult out;
+    // Records taken at different pool sizes are not comparable: every time
+    // and every parallel-kernel count moves with the thread count, so the
+    // gate refuses the pair outright (an absent count reads as 0).
+    const double gt = golden.num_or("threads", 0);
+    const double ft = fresh.num_or("threads", 0);
+    if (gt != ft) {
+        BenchDelta d;
+        d.path = "threads";
+        d.golden = gt;
+        d.fresh = ft;
+        d.ratio = gt > 0 ? ft / gt : 0.0;
+        d.threshold = 1.0;
+        d.regression = true;
+        out.compared.push_back(std::move(d));
+    }
     Walker w{opt, out};
     w.value("", "", golden, fresh);
     // Regressions first, largest overshoot first, for the report.

@@ -3,7 +3,8 @@
 // compare_bench() walks a fresh benchmark record against a committed
 // golden and flags every metric that regressed past a per-class relative
 // threshold. Only "worse" directions fail: slower times, more iterations,
-// larger errors; improvements pass silently. Metrics present in only one
+// larger errors; improvements pass silently. Two records whose top-level
+// "threads" differ fail outright: they measure different machines. Metrics present in only one
 // of the two documents are skipped (the format may grow), as are
 // structural descriptors (sizes, thread counts) and sub-noise timings.
 //

@@ -16,9 +16,9 @@
 //  * Retry ladder — a failed attempt retries up to JobSpec::max_retries
 //    times, sleeping backoff_s·multiplier^k between attempts, each retry one
 //    rung up the robust::escalate_one_rung ladder (deeper timestep cutting,
-//    wider DC continuation, iterative escalation forced open). Healthy code
-//    paths are rung-invariant, so retried jobs stay bit-identical to clean
-//    ones.
+//    wider DC continuation, Recover policy forced so the iterative solver's
+//    dense fallback is open). Healthy code paths are rung-invariant, so
+//    retried jobs stay bit-identical to clean ones.
 //  * Journal + resume — with a journal path set, every finished job is
 //    appended (fsync'd) to jobs.jsonl; BatchOptions::resume skips jobs whose
 //    completed records are already journaled. Job results are bit-reproducible

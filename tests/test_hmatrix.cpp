@@ -339,8 +339,7 @@ TEST(Hmatrix, SolverCompressionMatchesDirectSolve) {
     const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
 
     SolverOptions opt;
-    opt.backend = SolverBackend::Iterative;
-    opt.hmatrix.node_threshold = 1; // compress even this small mesh
+    opt.backend = SolverBackend::Iterative; // compresses at any size
     const IterativeSolver iterative(bem, zs, opt);
     const std::vector<std::size_t> ports{
         bem.mesh().nearest_node({0.002, 0.004}, 0),
@@ -365,7 +364,6 @@ TEST(Hmatrix, ForcedCompressionBitIdenticalAcrossThreadCounts) {
         const PlaneBem bem = make_bem(nonuniform_mesh());
         SolverOptions opt;
         opt.backend = SolverBackend::Iterative;
-        opt.hmatrix.node_threshold = 1;
         const IterativeSolver it(bem, zs, opt);
         const std::vector<std::size_t> ports{
             bem.mesh().nearest_node({0.002, 0.004}, 0),
@@ -420,14 +418,4 @@ TEST(MakeSolverCrossover, TinyMeshSelectsDense) {
     EXPECT_STREQ(make_solver(bem, SurfaceImpedance{}, opt)->backend_name(),
                  "direct");
     EXPECT_EQ(obs::counter("em.backend.dense").value(), dense0 + 1);
-}
-
-TEST(MakeSolverCrossover, HmatrixOffRestoresDenseRouting) {
-    const PlaneBem bem = make_bem(nonuniform_mesh());
-    SolverOptions opt;
-    opt.auto_node_threshold = 1;
-    opt.hmatrix.node_threshold = 1;
-    opt.hmatrix.use = HmatrixUse::Off;
-    EXPECT_STREQ(make_solver(bem, SurfaceImpedance{}, opt)->backend_name(),
-                 "direct");
 }

@@ -355,6 +355,20 @@ TEST(BenchGate, ImprovementsAndDescriptorsPass) {
     EXPECT_TRUE(rss_skipped);
 }
 
+TEST(BenchGate, ThreadCountMismatchFails) {
+    const JsonValue golden = parse_json(kGolden);
+    // Same numbers, but recorded on a different pool size: not comparable.
+    std::string fresh = fresh_with(0.50, 300);
+    fresh.replace(fresh.find("\"threads\": 8"), 12, "\"threads\": 4");
+    const obs::BenchGateResult r =
+        obs::compare_bench(parse_json(fresh), golden);
+    EXPECT_FALSE(r.ok());
+    ASSERT_EQ(r.regression_count(), 1u);
+    EXPECT_EQ(r.compared.front().path, "threads");
+    EXPECT_EQ(r.compared.front().golden, 8.0);
+    EXPECT_EQ(r.compared.front().fresh, 4.0);
+}
+
 TEST(BenchGate, SubsetAndMissingKeysAreSkippedNotFailed) {
     const JsonValue golden = parse_json(kGolden);
     // A smoke run covering only n=6, with one extra key the golden lacks.
@@ -377,7 +391,9 @@ TEST(BenchGate, SubsetAndMissingKeysAreSkippedNotFailed) {
     EXPECT_TRUE(saw_resources);
     // But a matched case that regressed still fails, even in a subset run.
     const JsonValue bad = parse_json(R"({
-  "cases": [{"n": 6, "fill_direct_s": 0.40}]
+  "threads": 8, "cases": [{"n": 6, "fill_direct_s": 0.40}]
 })");
-    EXPECT_FALSE(obs::compare_bench(bad, golden).ok());
+    const obs::BenchGateResult rb = obs::compare_bench(bad, golden);
+    ASSERT_EQ(rb.regression_count(), 1u);
+    EXPECT_EQ(rb.compared.front().path, "cases[n=6].fill_direct_s");
 }

@@ -338,8 +338,10 @@ RectMesh small_plane_mesh() {
     return RectMesh({s}, 0.001);
 }
 
-PlaneBem small_bem() {
-    return PlaneBem(small_plane_mesh(), Greens::homogeneous(4.2, true), {});
+PlaneBem small_bem(AssemblyMode assembly = AssemblyMode::Auto) {
+    BemOptions opt;
+    opt.assembly = assembly;
+    return PlaneBem(small_plane_mesh(), Greens::homogeneous(4.2, true), opt);
 }
 
 double max_rel_diff(const MatrixC& a, const MatrixC& b) {
@@ -363,8 +365,8 @@ TEST_F(Robust, InjectedGmresStallFallsBackToDenseSolver) {
     const std::vector<std::size_t> ports{
         bem.mesh().nearest_node({0.002, 0.002}, 0)};
 
-    // Stall every GMRES solve: escalation cannot help, so the whole
-    // frequency point must be rescued by the dense direct solver.
+    // Stall every GMRES solve: the whole frequency point must be rescued by
+    // the dense direct solver.
     robust::FaultInjector::arm("gmres.stall", 1, 0);
     const MatrixC z = iterative.port_impedance(1e9, ports);
     robust::FaultInjector::disarm_all();
@@ -391,11 +393,12 @@ TEST_F(Robust, StrictIterativeSolverReproducesTheStallThrow) {
 }
 
 TEST_F(Robust, InjectedAcaMissRecoversByTighteningTolerance) {
-    const PlaneBem bem = small_bem();
+    // Direct assembly: no displacement table, so the solver compresses the
+    // uniform mesh into H-matrices.
+    const PlaneBem bem = small_bem(AssemblyMode::Direct);
     const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
     SolverOptions opt;
     opt.backend = SolverBackend::Iterative;
-    opt.hmatrix.use = HmatrixUse::Force;
     // At the default leaf size the 120-node tree has no well-separated
     // cluster pairs, so no ACA runs and no fault can fire.
     opt.hmatrix.leaf_size = 16;
@@ -421,11 +424,10 @@ TEST_F(Robust, InjectedAcaMissRecoversByTighteningTolerance) {
 }
 
 TEST_F(Robust, InjectedAcaRetryFailureAssemblesExactDenseBlocks) {
-    const PlaneBem bem = small_bem();
+    const PlaneBem bem = small_bem(AssemblyMode::Direct); // compressed path
     const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
     SolverOptions opt;
     opt.backend = SolverBackend::Iterative;
-    opt.hmatrix.use = HmatrixUse::Force;
     opt.hmatrix.leaf_size = 16; // see InjectedAcaMissRecoversByTightening
     const IterativeSolver iterative(bem, zs, opt);
     const std::vector<std::size_t> ports{
@@ -604,8 +606,6 @@ TEST_F(Robust, CancelTokenAbortsSweepBackends) {
 TEST_F(Robust, EscalateOneRungIsMonotonicallyMoreForgiving) {
     robust::RecoveryOptions base;
     base.policy = robust::RecoveryPolicy::Strict;
-    base.allow_precond_escalation = false;
-    base.allow_dense_fallback = false;
     robust::RecoveryOptions rung = base;
     for (int k = 0; k < 3; ++k) {
         const robust::RecoveryOptions next = robust::escalate_one_rung(rung);
@@ -615,8 +615,6 @@ TEST_F(Robust, EscalateOneRungIsMonotonicallyMoreForgiving) {
         EXPECT_GT(next.gmin_steps, rung.gmin_steps);
         EXPECT_GE(next.gmin_start, rung.gmin_start);
         EXPECT_GT(next.source_steps, rung.source_steps);
-        EXPECT_TRUE(next.allow_precond_escalation);
-        EXPECT_TRUE(next.allow_dense_fallback);
         rung = next;
     }
     EXPECT_LE(rung.gmin_start, 1e-1);

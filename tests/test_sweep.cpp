@@ -63,18 +63,20 @@ TEST(SweepEngine, MatchesLegacyColdSweepAndSavesWork) {
         bem.mesh().nearest_node({0.018, 0.014}, 0)};
     const VectorD freqs = linspace(4e8, 6e8, 8);
 
-    SolverOptions legacy_opt = iterative_options();
-    legacy_opt.sweep.engine = false;
-    legacy_opt.sweep.block_solve = false;
-    legacy_opt.sweep.warm_start = false;
-    const IterativeSolver legacy(bem, zs, legacy_opt);
-    const auto zl = legacy.sweep_impedance(freqs, ports);
+    // Cold reference: independent per-point solves on a fresh solver.
+    const IterativeSolver cold(bem, zs, iterative_options());
+    std::vector<MatrixC> zc;
+    for (const double f : freqs) zc.push_back(cold.port_impedance(f, ports));
 
     const IterativeSolver engine(bem, zs, iterative_options());
     const auto ze = engine.sweep_impedance(freqs, ports);
 
-    for (std::size_t i = 0; i < freqs.size(); ++i)
-        EXPECT_LT(max_rel_diff(ze[i], zl[i]), 1e-8) << "f = " << freqs[i];
+    const DirectSolver direct(bem, zs);
+    const auto zd = direct.sweep_impedance(freqs, ports);
+    for (std::size_t i = 0; i < freqs.size(); ++i) {
+        EXPECT_LT(max_rel_diff(ze[i], zc[i]), 1e-8) << "f = " << freqs[i];
+        EXPECT_LT(max_rel_diff(ze[i], zd[i]), 1e-8) << "f = " << freqs[i];
+    }
 
     const IterativeSolverStats& st = engine.stats();
     EXPECT_EQ(st.sweep_points, freqs.size());
@@ -84,8 +86,34 @@ TEST(SweepEngine, MatchesLegacyColdSweepAndSavesWork) {
     EXPECT_GE(st.recycle_hits, 1u);
     EXPECT_GT(st.saved_iterations, 0u);
     // The headline claim: cross-frequency reuse beats cold per-point solves.
-    EXPECT_LT(st.matvecs, legacy.stats().matvecs);
+    EXPECT_LT(st.matvecs, cold.stats().matvecs);
     EXPECT_GT(st.block_solves, 0u);
+}
+
+// Sweeps of fewer than two points bypass the engine: a one-point sweep is
+// exactly port_impedance (the bisection order would visit index 0 twice),
+// and an empty sweep solves nothing.
+TEST(SweepEngine, SinglePointSweepIsPortImpedance) {
+    const PlaneBem bem = make_bem(plain_mesh(0.002));
+    const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
+    const std::vector<std::size_t> ports{
+        bem.mesh().nearest_node({0.002, 0.002}, 0),
+        bem.mesh().nearest_node({0.018, 0.014}, 0)};
+
+    const IterativeSolver swept(bem, zs, iterative_options());
+    const auto z1 = swept.sweep_impedance({5e8}, ports);
+    ASSERT_EQ(z1.size(), 1u);
+    EXPECT_EQ(swept.stats().frequencies, 1u);
+    EXPECT_EQ(swept.stats().sweep_points, 0u);
+    const MatrixC z = IterativeSolver(bem, zs, iterative_options())
+                          .port_impedance(5e8, ports);
+    for (std::size_t r = 0; r < z.rows(); ++r)
+        for (std::size_t c = 0; c < z.cols(); ++c)
+            EXPECT_EQ(z1[0](r, c), z(r, c));
+
+    const IterativeSolver empty(bem, zs, iterative_options());
+    EXPECT_TRUE(empty.sweep_impedance({}, ports).empty());
+    EXPECT_EQ(empty.stats().frequencies, 0u);
 }
 
 TEST(SweepEngine, WarmStartedSweepBitwiseInvariantAcrossThreadCounts) {

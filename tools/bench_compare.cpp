@@ -6,8 +6,9 @@
 //
 // Diffs a freshly generated benchmark record against a committed golden and
 // exits 1 when any metric regressed past its class threshold (slower times,
-// more iterations, larger errors). Improvements and metrics present in only
-// one document pass. See src/obs/bench_gate.hpp for the classification
+// more iterations, larger errors) or when the two records were taken at
+// different thread counts. Improvements and metrics present in only one
+// document pass. See src/obs/bench_gate.hpp for the classification
 // rules. Wired into the build as the `bench-smoke` target.
 #include <cstdio>
 
