@@ -7,7 +7,10 @@
 // O(N log N). This example sweeps the same two-pin plane with both backends
 // at increasing mesh density, prints the wall time and the worst relative
 // deviation between the two impedance sweeps, and shows what the Auto
-// backend would have picked at each size.
+// backend would have picked at each size: on this uniform plane it takes
+// the iterative path from 400 nodes (a non-uniform mesh would take the
+// compressed H-matrix form from 160). Both crossovers are fixed; the mesh
+// alone decides.
 //
 // Build & run:  ./example_solver_backends
 #include <chrono>
@@ -71,7 +74,7 @@ int main() {
                     dev = std::max(dev, std::abs(zi[k](i, j) - zd[k](i, j)));
                 }
 
-        // What would Auto have picked here (default node threshold)?
+        // What would Auto have picked here?
         const auto auto_solver = make_solver(bem, zs);
         std::printf("%-6d %-8zu %-10.3f %-12.3f %-10.1f %-12.2e %-8s\n", n,
                     bem.node_count(), direct_s, iterative_s,
@@ -80,7 +83,7 @@ int main() {
     }
     std::printf("\nBoth backends solve the same MPIE system; deviations are "
                 "pure linear-algebra round-off (target <= 1e-8). The Auto "
-                "backend switches to the matrix-free path once the mesh is "
-                "large and uniform enough to profit.\n");
+                "backend switches to the matrix-free path from 400 nodes on a "
+                "uniform mesh.\n");
     return 0;
 }

@@ -77,6 +77,22 @@ double cell_average(const Rect& r, const QuadratureRule& rule, F&& f) {
 // The translation-invariant interaction lattice/table machinery lives in
 // em/interaction_lattice.hpp, shared with the block-Toeplitz operators.
 
+// Column-parallel walk of the lower triangle of an n-element family:
+// put(i, j) for every i >= j. Each worker owns whole columns, so the writes
+// of `put` never race.
+template <class Put>
+void for_lower(std::size_t n, Put&& put) {
+    par::parallel_for(n, [&](std::size_t j) {
+        for (std::size_t i = j; i < n; ++i) put(i, j);
+    });
+}
+
+// Copy the lower triangle onto the upper one (P and L are symmetric).
+void mirror_lower(MatrixD& m) {
+    for (std::size_t j = 0; j < m.cols(); ++j)
+        for (std::size_t i = j + 1; i < m.rows(); ++i) m(j, i) = m(i, j);
+}
+
 obs::Counter& cached_fill_counter() {
     static obs::Counter& c = obs::counter("bem.assembly.cached_fills");
     return c;
@@ -96,56 +112,23 @@ void PlaneBem::assemble_potential() const {
     PGSI_TRACE_SCOPE("bem.fill.potential");
     PGSI_ALLOC_SCOPE("em.assembly");
     StageTimer timer(stats_.potential_seconds);
-    const auto& nodes = mesh_.nodes();
-    const std::size_t n = nodes.size();
+    const std::size_t n = mesh_.node_count();
     MatrixD p(n, n);
-    const QuadratureRule& grule = gauss_legendre(options_.galerkin_order);
-
-    Lattice lat;
-    if (options_.assembly != AssemblyMode::Direct) lat = node_lattice();
-    if (options_.assembly == AssemblyMode::Cached)
-        PGSI_REQUIRE(lat.uniform,
-                     "AssemblyMode::Cached requires a uniform-pitch mesh "
-                     "(congruent cells on one lattice)");
-    const bool cached = options_.assembly == AssemblyMode::Cached ||
-                        (options_.assembly == AssemblyMode::Auto &&
-                         cache_profitable(lat, n * (n + 1) / 2));
-
+    const Lattice& lat = node_lattice();
+    const bool cached = cache_profitable(lat, n * (n + 1) / 2);
     if (cached) {
         const std::vector<double>& table = potential_table();
-        par::parallel_for(n, [&](std::size_t j) {
-            for (std::size_t i = j; i < n; ++i)
-                p(i, j) = table[table_index(lat, i, j)];
+        for_lower(n, [&](std::size_t i, std::size_t j) {
+            p(i, j) = table[table_index(lat, i, j)];
         });
-        stats_.potential_cached = true;
-        ++cached_fill_counter();
     } else {
-        // Column-parallel: each worker owns whole columns, so writes never
-        // race (the symmetric mirror below runs after the fill).
-        par::parallel_for(n, [&](std::size_t j) {
-            const Rect src = cell_rect(nodes[j]);
-            const double inv_area = 1.0 / src.area();
-            for (std::size_t i = j; i < n; ++i) {
-                double v;
-                if (options_.testing == Testing::PointMatching) {
-                    v = greens_.phi_integral(nodes[i].center, nodes[i].z, src,
-                                             nodes[j].z) *
-                        inv_area;
-                } else {
-                    const Rect obs = cell_rect(nodes[i]);
-                    v = cell_average(obs, grule, [&](Point2 q) {
-                            return greens_.phi_integral(q, nodes[i].z, src,
-                                                        nodes[j].z);
-                        }) *
-                        inv_area;
-                }
-                p(i, j) = v;
-            }
+        for_lower(n, [&](std::size_t i, std::size_t j) {
+            p(i, j) = potential_entry(i, j);
         });
-        ++direct_fill_counter();
     }
-    for (std::size_t j = 0; j < n; ++j)
-        for (std::size_t i = j + 1; i < n; ++i) p(j, i) = p(i, j);
+    mirror_lower(p);
+    stats_.potential_cached = cached;
+    ++(cached ? cached_fill_counter() : direct_fill_counter());
     ppot_ = std::move(p);
 }
 
@@ -175,69 +158,38 @@ void PlaneBem::assemble_inductance() const {
     PGSI_TRACE_SCOPE("bem.fill.inductance");
     PGSI_ALLOC_SCOPE("em.assembly");
     StageTimer timer(stats_.inductance_seconds);
-    const auto& branches = mesh_.branches();
-    const std::size_t m = branches.size();
+    const std::size_t m = mesh_.branch_count();
     MatrixD l(m, m);
-    const QuadratureRule& lrule = gauss_legendre(options_.l_quad_order);
 
     // x- and y-directed current cells are two separate congruent families
     // (and do not couple to each other), each with its own lattice/table.
-    bool uniform = false;
+    const BranchFamilies& bf = branch_families();
     std::size_t entries = 0, direct_evals = 0;
-    if (options_.assembly != AssemblyMode::Direct) {
-        const BranchFamilies& bf = branch_families();
-        uniform = bf.uniform;
-        for (int d = 0; d < 2; ++d) {
-            if (!bf.idx[d].empty()) entries += bf.lat[d].table_entries();
-            direct_evals += bf.idx[d].size() * (bf.idx[d].size() + 1) / 2;
-        }
+    for (int d = 0; d < 2; ++d) {
+        if (!bf.idx[d].empty()) entries += bf.lat[d].table_entries();
+        direct_evals += bf.idx[d].size() * (bf.idx[d].size() + 1) / 2;
     }
-    if (options_.assembly == AssemblyMode::Cached)
-        PGSI_REQUIRE(uniform,
-                     "AssemblyMode::Cached requires a uniform-pitch mesh "
-                     "(congruent current cells on one lattice per direction)");
-    const bool cached =
-        options_.assembly == AssemblyMode::Cached ||
-        (options_.assembly == AssemblyMode::Auto && uniform &&
-         entries < direct_evals);
-
-    if (cached) {
-        const BranchFamilies& bf = branch_families();
-        for (int d = 0; d < 2; ++d) {
-            const auto& idx = bf.idx[d];
-            if (idx.empty()) continue;
+    const bool cached = bf.uniform && entries < direct_evals;
+    // Family entry (ii, jj), ii >= jj, lands at (idx[ii], idx[jj]): in the
+    // global lower triangle, because idx ascends.
+    for (int d = 0; d < 2; ++d) {
+        const auto& idx = bf.idx[d];
+        if (idx.empty()) continue;
+        if (cached) {
             const Lattice& lg = bf.lat[d];
             const std::vector<double>& table = inductance_table(d);
-            par::parallel_for(idx.size(), [&](std::size_t jj) {
-                for (std::size_t ii = jj; ii < idx.size(); ++ii)
-                    l(idx[ii], idx[jj]) = table[table_index(lg, ii, jj)];
+            for_lower(idx.size(), [&](std::size_t ii, std::size_t jj) {
+                l(idx[ii], idx[jj]) = table[table_index(lg, ii, jj)];
+            });
+        } else {
+            for_lower(idx.size(), [&](std::size_t ii, std::size_t jj) {
+                l(idx[ii], idx[jj]) = inductance_entry(idx[ii], idx[jj]);
             });
         }
-        stats_.inductance_cached = true;
-        ++cached_fill_counter();
-    } else {
-        par::parallel_for(m, [&](std::size_t b) {
-            const Rect src = branch_rect(branches[b]);
-            const double wb = branches[b].width();
-            for (std::size_t a = b; a < m; ++a) {
-                if (branches[a].dir != branches[b].dir)
-                    continue; // orthogonal: no coupling
-                const Rect obs = branch_rect(branches[a]);
-                const double wa = branches[a].width();
-                // Lp = (1/(wa·wb)) ∬_a GA-integral-over-src dA; the outer
-                // integral is smooth (the inner one is exact) so a small
-                // Gauss rule suffices.
-                const double avg = cell_average(obs, lrule, [&](Point2 q) {
-                    return greens_.a_integral(q, branches[a].z, src,
-                                              branches[b].z);
-                });
-                l(a, b) = avg * obs.area() / (wa * wb);
-            }
-        });
-        ++direct_fill_counter();
     }
-    for (std::size_t b = 0; b < m; ++b)
-        for (std::size_t a = b + 1; a < m; ++a) l(b, a) = l(a, b);
+    mirror_lower(l);
+    stats_.inductance_cached = cached;
+    ++(cached ? cached_fill_counter() : direct_fill_counter());
     l_ = std::move(l);
 }
 
@@ -372,22 +324,15 @@ const std::vector<double>& PlaneBem::potential_table() const {
         PGSI_REQUIRE(lat.uniform,
                      "potential_table requires a uniform-pitch mesh");
         PGSI_TRACE_SCOPE("bem.fill.potential.table");
-        const QuadratureRule& grule = gauss_legendre(options_.galerkin_order);
         const double sx = lat.sx, sy = lat.sy;
         const Rect src{-0.5 * sx, 0.5 * sx, -0.5 * sy, 0.5 * sy};
-        const double inv_area = 1.0 / (sx * sy);
         std::vector<double> table = build_interaction_table(
             lat, [&](long di, long dj, double zo, double zs) {
-                const Point2 obs{static_cast<double>(di) * sx,
-                                 static_cast<double>(dj) * sy};
-                if (options_.testing == Testing::PointMatching)
-                    return greens_.phi_integral(obs, zo, src, zs) * inv_area;
-                const Rect obsr{obs.x - 0.5 * sx, obs.x + 0.5 * sx,
-                                obs.y - 0.5 * sy, obs.y + 0.5 * sy};
-                return cell_average(obsr, grule, [&](Point2 q) {
-                           return greens_.phi_integral(q, zo, src, zs);
-                       }) *
-                    inv_area;
+                const Point2 oc{static_cast<double>(di) * sx,
+                                static_cast<double>(dj) * sy};
+                const Rect obs{oc.x - 0.5 * sx, oc.x + 0.5 * sx,
+                               oc.y - 0.5 * sy, oc.y + 0.5 * sy};
+                return potential_kernel(oc, obs, zo, src, zs);
             });
         stats_.cache_entries += table.size();
         cache_entry_counter().add(table.size());
@@ -403,7 +348,6 @@ const std::vector<double>& PlaneBem::inductance_table(int d) const {
         PGSI_REQUIRE(lg.uniform,
                      "inductance_table requires a uniform-pitch mesh");
         PGSI_TRACE_SCOPE("bem.fill.inductance.table");
-        const QuadratureRule& lrule = gauss_legendre(options_.l_quad_order);
         const double sx = lg.sx, sy = lg.sy;
         const Rect src{-0.5 * sx, 0.5 * sx, -0.5 * sy, 0.5 * sy};
         // All cells in the family share one width (the current-transverse
@@ -416,10 +360,7 @@ const std::vector<double>& PlaneBem::inductance_table(int d) const {
                                static_cast<double>(di) * sx + 0.5 * sx,
                                static_cast<double>(dj) * sy - 0.5 * sy,
                                static_cast<double>(dj) * sy + 0.5 * sy};
-                return cell_average(obs, lrule, [&](Point2 q) {
-                           return greens_.a_integral(q, zo, src, zs);
-                       }) *
-                    scale;
+                return inductance_average(obs, zo, src, zs) * scale;
             });
         stats_.cache_entries += table.size();
         cache_entry_counter().add(table.size());
@@ -428,38 +369,45 @@ const std::vector<double>& PlaneBem::inductance_table(int d) const {
     return *ltable_[d];
 }
 
-double PlaneBem::potential_entry(std::size_t i, std::size_t j) const {
-    // The dense fill computes the lower triangle (obs >= src column) and
-    // mirrors; folding here keeps on-demand entries bit-identical to it.
-    if (i < j) std::swap(i, j);
-    const auto& nodes = mesh_.nodes();
-    const Rect src = cell_rect(nodes[j]);
+double PlaneBem::potential_kernel(Point2 oc, const Rect& obs, double zo,
+                                  const Rect& src, double zs) const {
     const double inv_area = 1.0 / src.area();
     if (options_.testing == Testing::PointMatching)
-        return greens_.phi_integral(nodes[i].center, nodes[i].z, src,
-                                    nodes[j].z) *
-               inv_area;
-    const QuadratureRule& grule = *grule_;
-    const Rect obs = cell_rect(nodes[i]);
-    return cell_average(obs, grule, [&](Point2 q) {
-               return greens_.phi_integral(q, nodes[i].z, src, nodes[j].z);
+        return greens_.phi_integral(oc, zo, src, zs) * inv_area;
+    return cell_average(obs, *grule_, [&](Point2 q) {
+               return greens_.phi_integral(q, zo, src, zs);
            }) *
            inv_area;
+}
+
+double PlaneBem::inductance_average(const Rect& obs, double zo,
+                                    const Rect& src, double zs) const {
+    // The outer integral is smooth (the inner one is exact), so a small
+    // Gauss rule suffices.
+    return cell_average(obs, *lrule_, [&](Point2 q) {
+        return greens_.a_integral(q, zo, src, zs);
+    });
+}
+
+double PlaneBem::potential_entry(std::size_t i, std::size_t j) const {
+    // The dense fill computes the lower triangle (obs >= src column) and
+    // mirrors; folding here keeps on-demand entries symmetric bit for bit.
+    if (i < j) std::swap(i, j);
+    const auto& nodes = mesh_.nodes();
+    return potential_kernel(nodes[i].center, cell_rect(nodes[i]), nodes[i].z,
+                            cell_rect(nodes[j]), nodes[j].z);
 }
 
 double PlaneBem::inductance_entry(std::size_t a, std::size_t b) const {
     if (a < b) std::swap(a, b);
     const auto& branches = mesh_.branches();
     if (branches[a].dir != branches[b].dir) return 0.0; // orthogonal
-    const QuadratureRule& lrule = *lrule_;
-    const Rect src = branch_rect(branches[b]);
-    const double wb = branches[b].width();
     const Rect obs = branch_rect(branches[a]);
-    const double wa = branches[a].width();
-    const double avg = cell_average(obs, lrule, [&](Point2 q) {
-        return greens_.a_integral(q, branches[a].z, src, branches[b].z);
-    });
-    return avg * obs.area() / (wa * wb);
+    // Lp = (1/(wa·wb)) ∬_a GA-integral-over-src dA.
+    const double avg = inductance_average(obs, branches[a].z,
+                                          branch_rect(branches[b]),
+                                          branches[b].z);
+    return avg * obs.area() / (branches[a].width() * branches[b].width());
 }
 
 std::vector<std::array<double, 3>> PlaneBem::node_points() const {

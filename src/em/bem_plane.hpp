@@ -41,29 +41,14 @@ enum class Testing {
     Galerkin       ///< test functions equal to the basis functions
 };
 
-/// How the P and L fills evaluate the Green's-function integrals.
-///
-/// The quasi-static kernels depend only on the observation-source
-/// displacement and the (z, z') pair, so on a uniform-pitch mesh (congruent
-/// cells on one integer lattice) every matrix entry is a lookup into a table
-/// with one entry per *distinct displacement* — O(#offsets) ≈ O(N) expensive
-/// quadrature/image-series evaluations instead of O(N²).
-enum class AssemblyMode {
-    Auto,   ///< cache when the mesh is uniform and the table is smaller
-            ///< than the direct evaluation count; direct otherwise
-    Direct, ///< always evaluate every pair (reference path)
-    Cached  ///< require the cache; throws if the mesh is not uniform
-};
-
-/// Assembly options.
+/// Assembly options. How the P and L fills evaluate the Green's-function
+/// integrals is not an option: the mesh decides (see PlaneBem).
 struct BemOptions {
     Testing testing = Testing::PointMatching;
     /// Gauss order per axis for Galerkin observation integrals.
     int galerkin_order = 2;
     /// Gauss order per axis for the outer integral of partial inductances.
     int l_quad_order = 4;
-    /// Displacement-keyed interaction-table policy for the P and L fills.
-    AssemblyMode assembly = AssemblyMode::Auto;
 };
 
 /// Wall-time telemetry of the lazy BEM assembly steps (seconds; zero until
@@ -81,13 +66,21 @@ struct BemAssemblyStats {
 /// Assembled BEM operator for one meshed plane structure. Matrices are
 /// assembled lazily and cached; all are frequency independent under the
 /// quasi-static approximation of §4.1.
+///
+/// The quasi-static kernels depend only on the observation-source
+/// displacement and the (z, z') pair, so on a uniform-pitch mesh (congruent
+/// cells on one integer lattice) every P or L entry is a lookup into a table
+/// with one entry per *distinct displacement* — O(#offsets) ≈ O(N) expensive
+/// quadrature/image-series evaluations instead of O(N²). A fill uses that
+/// table when the mesh is uniform and the table is smaller than the direct
+/// evaluation count; otherwise it evaluates every pair through
+/// potential_entry() / inductance_entry(), the reference kernels.
 class PlaneBem {
 public:
     PlaneBem(RectMesh mesh, Greens greens, BemOptions options = {});
 
     const RectMesh& mesh() const { return mesh_; }
     const Greens& greens() const { return greens_; }
-    const BemOptions& options() const { return options_; }
 
     std::size_t node_count() const { return mesh_.node_count(); }
     std::size_t branch_count() const { return mesh_.branch_count(); }
@@ -133,14 +126,15 @@ public:
     /// are structurally zero.
     const InteractionOperator& inductance_operator() const;
 
-    /// Exact Ppot(i, j) evaluated on demand — no matrix assembly. Matches
-    /// potential_matrix() bit-for-bit (the indices are folded to the lower
-    /// triangle exactly as the dense fill computes it). This is the kernel
-    /// the ACA/H-matrix path samples.
+    /// Exact Ppot(i, j) evaluated on demand — no matrix assembly. The
+    /// reference kernel: the direct fill is built from it (indices folded to
+    /// the lower triangle, so entries are symmetric bit for bit), the cached
+    /// fill agrees with it to rounding, and the ACA/H-matrix path samples it.
     double potential_entry(std::size_t i, std::size_t j) const;
 
     /// Exact L(a, b) evaluated on demand (zero for orthogonal branch
-    /// directions). Matches inductance_matrix() bit-for-bit.
+    /// directions). The reference kernel of L, as potential_entry() is of
+    /// Ppot.
     double inductance_entry(std::size_t a, std::size_t b) const;
 
     /// Charge-cell centers (x, y, z) — cluster-tree geometry for the P
@@ -187,6 +181,17 @@ private:
     mutable std::optional<InteractionOperator> lop_;
     mutable BemAssemblyStats stats_;
 
+    /// The one copy of the P kernel, evaluated by potential_entry() and the
+    /// displacement table alike: the scalar-potential integral over the
+    /// source cell `src` (height zs) per unit source area, collocated at the
+    /// observation cell's center `oc` (point matching) or averaged over
+    /// `obs` (Galerkin), at height zo.
+    double potential_kernel(Point2 oc, const Rect& obs, double zo,
+                            const Rect& src, double zs) const;
+    /// The one copy of the L kernel: the vector-potential integral over
+    /// `src`, averaged over `obs`. Callers apply the 1/(wa·wb) scaling.
+    double inductance_average(const Rect& obs, double zo, const Rect& src,
+                              double zs) const;
     void assemble_potential() const;
     void assemble_inductance() const;
     const Lattice& node_lattice() const;

@@ -19,6 +19,21 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
         .count();
 }
 
+/// Relative Frobenius tolerance of each admissible block's ACA. The
+/// end-to-end Z(f) error tracks it within about an order of magnitude, so
+/// 1e-10 holds the backend-equivalence budget of 1e-8.
+constexpr double kAcaTol = 1e-10;
+
+/// Admissibility parameter: a block is far-field when
+/// kEta * dist >= max cluster diameter.
+constexpr double kEta = 1.5;
+
+/// Maximum elements in a cluster-tree leaf.
+constexpr std::size_t kLeafSize = 32;
+
+/// ACA rank budget per block before the recovery ladder engages.
+constexpr std::size_t kMaxRank = 64;
+
 /// Compressing a block below this edge length never pays: the cross slices
 /// alone cost as much as the dense fill.
 constexpr std::size_t kMinAcaDim = 8;
@@ -376,13 +391,8 @@ AcaResult aca_lowrank(const std::size_t* rows, std::size_t nrows,
 }
 
 Hmatrix::Hmatrix(std::vector<std::array<double, 3>> points, KernelFn kernel,
-                 const HmatrixOptions& opt, robust::RecoveryReport* report)
-    : tree_(std::move(points), std::max<std::size_t>(opt.leaf_size, 1)),
-      kernel_(std::move(kernel)),
-      opt_(opt) {
-    PGSI_REQUIRE(opt_.aca_tol > 0, "HmatrixOptions: aca_tol must be positive");
-    PGSI_REQUIRE(opt_.eta > 0, "HmatrixOptions: eta must be positive");
-    PGSI_REQUIRE(opt_.max_rank >= 1, "HmatrixOptions: max_rank must be >= 1");
+                 robust::RecoveryReport* report)
+    : tree_(std::move(points), kLeafSize), kernel_(std::move(kernel)) {
     build(report);
 }
 
@@ -410,7 +420,7 @@ void Hmatrix::build(robust::RecoveryReport* report) {
             const ClusterNode& nt = nodes[t];
             const ClusterNode& ns = nodes[s];
             if (nt.count() == 0 || ns.count() == 0) return;
-            if (t != s && admissible(nt, ns, opt_.eta) &&
+            if (t != s && admissible(nt, ns, kEta) &&
                 std::min(nt.count(), ns.count()) >= kMinAcaDim) {
                 const bool f1 = robust::FaultInjector::should_fire("aca.converge");
                 const bool f2 =
@@ -476,18 +486,18 @@ void Hmatrix::build(robust::RecoveryReport* report) {
             const std::size_t mn = nr.count() * nc.count();
             const std::size_t be_cap =
                 std::max<std::size_t>(mn / (nr.count() + nc.count()), 1);
-            const std::size_t budget = std::min(opt_.max_rank, be_cap);
+            const std::size_t budget = std::min(kMaxRank, be_cap);
             AcaResult r;
             if (!pb.fault_first)
                 r = aca_lowrank(rows, nr.count(), cols, nc.count(), kernel_,
-                                opt_.aca_tol, budget);
+                                kAcaTol, budget);
             out.evals += r.evals;
             // Missing the tolerance inside the break-even budget is a
             // storage verdict, not a numerical anomaly — even a converged
             // rank this high would lose to the dense block. Assemble dense
             // (exact); no ladder event.
             const bool storage_dense =
-                !pb.fault_first && !r.converged && budget < opt_.max_rank;
+                !pb.fault_first && !r.converged && budget < kMaxRank;
             if (!storage_dense) {
                 if (pb.fault_first || !r.converged) {
                     // Ladder rung 1: tightened tolerance, doubled rank
@@ -497,8 +507,8 @@ void Hmatrix::build(robust::RecoveryReport* report) {
                     AcaResult r2;
                     if (!pb.fault_retry)
                         r2 = aca_lowrank(rows, nr.count(), cols, nc.count(),
-                                         kernel_, 0.1 * opt_.aca_tol,
-                                         2 * opt_.max_rank);
+                                         kernel_, 0.1 * kAcaTol,
+                                         2 * kMaxRank);
                     out.evals += r2.evals;
                     if (pb.fault_retry || !r2.converged) {
                         // Ladder rung 2: exact dense block.
@@ -507,7 +517,7 @@ void Hmatrix::build(robust::RecoveryReport* report) {
                         r = std::move(r2);
                     }
                 }
-                if (!out.dense_fallback) recompress(r, opt_.aca_tol);
+                if (!out.dense_fallback) recompress(r, kAcaTol);
                 // A barely-admissible block whose recompressed rank stores
                 // more than the dense block is kept dense — again a storage
                 // decision, not a convergence failure.
@@ -569,8 +579,8 @@ void Hmatrix::build(robust::RecoveryReport* report) {
                     report, "em.aca_tighten",
                     "ACA block (" + std::to_string(nodes[blk.row].count()) +
                         "x" + std::to_string(nodes[blk.col].count()) +
-                        ") missed tol " + std::to_string(opt_.aca_tol) +
-                        " within rank " + std::to_string(opt_.max_rank) +
+                        ") missed tol " + std::to_string(kAcaTol) +
+                        " within rank " + std::to_string(kMaxRank) +
                         "; retried with tightened tolerance");
             }
         }

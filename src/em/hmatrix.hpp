@@ -51,25 +51,6 @@
 
 namespace pgsi {
 
-/// Tuning knobs of the ACA/H-matrix operator path (SolverOptions::hmatrix).
-struct HmatrixOptions {
-    /// Relative Frobenius tolerance of each admissible block's ACA. The
-    /// end-to-end Z(f) error tracks this within about an order of magnitude,
-    /// so 1e-10 holds the backend-equivalence budget of 1e-8.
-    double aca_tol = 1e-10;
-    /// Admissibility parameter: far-field when eta*dist >= max cluster diam.
-    double eta = 1.5;
-    /// Maximum elements in a cluster-tree leaf.
-    std::size_t leaf_size = 32;
-    /// ACA rank budget per block before the recovery ladder engages.
-    std::size_t max_rank = 64;
-    /// make_solver's Auto backend picks the compressed iterative path on a
-    /// non-uniform mesh only at or above this many nodes; below it the dense
-    /// direct solver wins on constants (the small-N crossover). An explicit
-    /// Iterative backend compresses at any size.
-    std::size_t node_threshold = 160;
-};
-
 /// Telemetry of one H-matrix build.
 struct HmatrixStats {
     std::size_t elements = 0;        ///< matrix dimension
@@ -158,9 +139,11 @@ AcaResult aca_lowrank(const std::size_t* rows, std::size_t nrows,
 /// count.
 class Hmatrix {
 public:
-    /// `report` (optional) receives the ACA recovery-ladder events.
+    /// `report` (optional) receives the ACA recovery-ladder events. The
+    /// leaf size, admissibility parameter, ACA tolerance and rank budget are
+    /// fixed (em/hmatrix.cpp); the tolerance holds the backend-equivalence
+    /// budget of 1e-8 on Z.
     Hmatrix(std::vector<std::array<double, 3>> points, KernelFn kernel,
-            const HmatrixOptions& opt,
             robust::RecoveryReport* report = nullptr);
 
     std::size_t size() const { return tree_.size(); }
@@ -190,7 +173,6 @@ private:
 
     ClusterTree tree_;
     KernelFn kernel_;
-    HmatrixOptions opt_;
     std::vector<Block> blocks_;
     std::vector<std::size_t> scratch_off_; ///< per-block scratch offsets
     std::size_t scratch_len_ = 0;

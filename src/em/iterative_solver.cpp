@@ -10,6 +10,7 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/robust.hpp"
+#include "em/hmatrix.hpp"
 #include "numeric/lu.hpp"
 #include "obs/metrics.hpp"
 #include "obs/resource.hpp"
@@ -60,22 +61,18 @@ void IterativeSolver::ensure_setup() const {
     PGSI_TRACE_SCOPE("em.iterative.setup");
     PGSI_ALLOC_SCOPE("em.iterative");
     const auto t0 = std::chrono::steady_clock::now();
-    // Operator form, picked by the mesh alone: the PlaneBem's block-Toeplitz
-    // operators need a uniform lattice and a displacement table (assembly
-    // not Direct). Every other mesh compresses P and L into ACA/H-matrix
-    // operators sampled from the exact entry kernels — no dense matrix is
-    // ever assembled.
-    const HmatrixOptions& hopt = options_.hmatrix;
-    const bool compress = bem_.options().assembly == AssemblyMode::Direct ||
-                          !bem_.uniform_lattice();
-    if (compress) {
+    // Operator form, picked by the mesh alone: a uniform lattice gets the
+    // PlaneBem's block-Toeplitz operators. Every other mesh compresses P and
+    // L into ACA/H-matrix operators sampled from the exact entry kernels —
+    // no dense matrix is ever assembled.
+    if (!bem_.uniform_lattice()) {
         const std::size_t n = bem_.node_count();
         auto hp = std::make_shared<const Hmatrix>(
             bem_.node_points(),
             [this](std::size_t i, std::size_t j) {
                 return bem_.potential_entry(i, j);
             },
-            hopt, &report_);
+            &report_);
         std::vector<std::size_t> ident(n);
         for (std::size_t i = 0; i < n; ++i) ident[i] = i;
         hm_pop_ = InteractionOperator::hmatrix({std::move(hp)},
@@ -92,7 +89,7 @@ void IterativeSolver::ensure_setup() const {
                 [this, ids](std::size_t a, std::size_t b) {
                     return bem_.inductance_entry(ids[a], ids[b]);
                 },
-                hopt, &report_));
+                &report_));
             idx.push_back(std::move(ids));
         }
         hm_lop_ = InteractionOperator::hmatrix(std::move(parts),
@@ -640,18 +637,19 @@ std::vector<MatrixC> IterativeSolver::sweep_impedance(
 std::unique_ptr<PlaneSolver> make_solver(const PlaneBem& bem,
                                          SurfaceImpedance zs,
                                          const SolverOptions& options) {
+    // Auto's crossovers, in mesh nodes: below them the dense direct solver
+    // wins on constants. The Toeplitz form (uniform lattice) pays off from
+    // about 400 nodes, the ACA/H-matrix form (every other mesh) from 160,
+    // where the dense O(N³) solve already dominates the compression cost.
+    constexpr std::size_t kToeplitzNodes = 400;
+    constexpr std::size_t kHmatrixNodes = 160;
     SolverBackend backend = options.backend;
     if (backend == SolverBackend::Auto) {
-        // Three-way crossover: Toeplitz operators on uniform lattices,
-        // ACA/H-matrix operators on non-uniform meshes above the (smaller)
-        // compression threshold, dense direct otherwise. The chosen operator
-        // family is observable via the em.backend.* counters.
-        const bool assembly_ok =
-            bem.options().assembly != AssemblyMode::Direct;
-        const bool toeplitz = assembly_ok && bem.uniform_lattice() &&
-                              bem.node_count() >= options.auto_node_threshold;
-        const bool hmat = !toeplitz && assembly_ok && !bem.uniform_lattice() &&
-                          bem.node_count() >= options.hmatrix.node_threshold;
+        // The chosen operator family is observable via the em.backend.*
+        // counters.
+        const bool uniform = bem.uniform_lattice();
+        const bool toeplitz = uniform && bem.node_count() >= kToeplitzNodes;
+        const bool hmat = !uniform && bem.node_count() >= kHmatrixNodes;
         backend = (toeplitz || hmat) ? SolverBackend::Iterative
                                      : SolverBackend::Direct;
         static obs::Counter& c_toe = obs::counter("em.backend.toeplitz");

@@ -11,9 +11,8 @@
 // Q = (J − PᵀI)/jω), and L / Ppot act through InteractionOperators that
 // never store the dense matrices. The mesh alone picks their form: the
 // PlaneBem's FFT-accelerated block-Toeplitz operators (O(M log M) per
-// application) when it has a uniform lattice and a displacement table
-// (assembly mode not Direct), ACA/H-matrix compressions of the exact entry
-// kernels (em/hmatrix.hpp) otherwise. The Krylov solver is restarted GMRES,
+// application) when it has a uniform lattice, ACA/H-matrix compressions of
+// the exact entry kernels (em/hmatrix.hpp) otherwise. The Krylov solver is restarted GMRES,
 // right-preconditioned by block-Jacobi over 10-cell geometric tiles of
 // current cells. A tile spans both branch directions, so the local
 // plaquette loop currents — the nullspace of the nodal term P Ppot Pᵀ,

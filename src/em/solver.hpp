@@ -14,16 +14,15 @@
 
 #include "common/robust.hpp"
 #include "em/bem_plane.hpp"
-#include "em/hmatrix.hpp"
 #include "numeric/gmres.hpp"
 
 namespace pgsi {
 
 /// Which frequency-domain solver implementation runs a sweep.
 enum class SolverBackend {
-    Auto,     ///< Iterative when the mesh supports a matrix-free operator
-              ///< path (Toeplitz on uniform lattices, ACA/H-matrix on
-              ///< non-uniform meshes) and is large enough to profit;
+    Auto,     ///< Iterative when the mesh is large enough for its operator
+              ///< form to profit (Toeplitz on uniform lattices from 400
+              ///< nodes, ACA/H-matrix on non-uniform meshes from 160);
               ///< Direct otherwise
     Direct,   ///< dense LU per frequency (reference path)
     Iterative ///< GMRES over matrix-free FFT (Toeplitz) or H-matrix operators
@@ -38,9 +37,6 @@ enum class SolverBackend {
 /// engine (bisection order, block GMRES, recycled-subspace warm starts).
 struct SolverOptions {
     SolverBackend backend = SolverBackend::Auto;
-    /// Auto picks Iterative at or above this many mesh nodes (when the mesh
-    /// is uniform-lattice and assembly is not Direct).
-    std::size_t auto_node_threshold = 400;
     GmresOptions gmres; ///< restart / iteration budget / target residual
     /// An iterative solve whose final true relative residual exceeds this
     /// is either recomputed by the dense direct solver (under
@@ -49,10 +45,6 @@ struct SolverOptions {
     double fail_tol = 1e-8;
     /// Recovery policy and cancellation token of the solve.
     robust::RecoveryOptions recovery;
-    /// ACA/H-matrix tuning of the iterative backend on meshes without a
-    /// Toeplitz operator (em/hmatrix.hpp); node_threshold steers the Auto
-    /// crossover in make_solver.
-    HmatrixOptions hmatrix;
 };
 
 /// Common interface of the frequency-domain plane solvers: Z-parameters at
@@ -77,7 +69,8 @@ public:
 };
 
 /// Construct the backend selected by `options` (resolving Auto against the
-/// mesh size and lattice structure). The PlaneBem and SurfaceImpedance must
+/// mesh size and lattice structure; the choice is counted in the
+/// em.backend.{toeplitz,hmatrix,dense} counters). The PlaneBem and SurfaceImpedance must
 /// outlive the returned solver.
 std::unique_ptr<PlaneSolver> make_solver(const PlaneBem& bem,
                                          SurfaceImpedance zs,

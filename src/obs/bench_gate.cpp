@@ -9,7 +9,7 @@ namespace pgsi::obs {
 
 namespace {
 
-enum class MetricClass { Time, Count, Error, Skip };
+enum class MetricClass { Time, Count, Error, Ratio, Skip };
 
 bool ends_with(std::string_view s, std::string_view suffix) {
     return s.size() >= suffix.size() &&
@@ -22,13 +22,17 @@ MetricClass classify(std::string_view key) {
     static constexpr std::string_view kSkip[] = {
         "n",       "nodes",   "branches",      "threads",
         "schema",  "sweep_freqs", "cache_entries", "fill_speedup",
-        "speedup", "peak_rss_bytes", "matvec_reduction",
-        // Higher-is-better ratios of the batch bench: a faster machine
-        // would fail the count class's fresh > golden check.
-        "jobs_per_s", "cache_hit_rate",
+        "speedup", "peak_rss_bytes",
+        // Higher-is-better throughput: it moves with the machine.
+        "jobs_per_s",
     };
+    // Deterministic higher-is-better count ratios.
+    static constexpr std::string_view kRatio[] = {"matvec_reduction",
+                                                  "cache_hit_rate"};
     for (const std::string_view s : kSkip)
         if (key == s) return MetricClass::Skip;
+    for (const std::string_view s : kRatio)
+        if (key == s) return MetricClass::Ratio;
     if (ends_with(key, "_s") || ends_with(key, "_seconds"))
         return MetricClass::Time;
     if (ends_with(key, "_err") || key.find("residual") != std::string_view::npos)
@@ -55,6 +59,8 @@ struct Walker {
         } else if (cls == MetricClass::Error) {
             threshold = opt.error_ratio;
             floor = 0; // errors gate at any magnitude (relative only)
+        } else if (cls == MetricClass::Ratio) {
+            floor = 0; // ratios sit near 1, far below min_count
         }
         if (golden < floor && fresh < floor) {
             out.skipped.push_back(path + " (below noise floor)");
@@ -65,7 +71,10 @@ struct Walker {
         d.golden = golden;
         d.fresh = fresh;
         d.threshold = threshold;
-        d.ratio = golden > 0 ? fresh / golden : (fresh > 0 ? 1e300 : 1.0);
+        // Higher-is-better ratios are inverted so that > 1 is always worse.
+        const double num = cls == MetricClass::Ratio ? golden : fresh;
+        const double den = cls == MetricClass::Ratio ? fresh : golden;
+        d.ratio = den > 0 ? num / den : (num > 0 ? 1e300 : 1.0);
         d.regression = d.ratio > threshold;
         out.compared.push_back(std::move(d));
     }

@@ -3,15 +3,19 @@
 // compare_bench() walks a fresh benchmark record against a committed
 // golden and flags every metric that regressed past a per-class relative
 // threshold. Only "worse" directions fail: slower times, more iterations,
-// larger errors; improvements pass silently. Two records whose top-level
-// "threads" differ fail outright: they measure different machines. Metrics present in only one
-// of the two documents are skipped (the format may grow), as are
-// structural descriptors (sizes, thread counts) and sub-noise timings.
+// larger errors, smaller reduction and hit ratios; improvements pass
+// silently. Two records whose top-level "threads" differ fail outright: they
+// measure different machines. Metrics present in only one of the two
+// documents are skipped (the format may grow), as are structural descriptors
+// (sizes, thread counts) and sub-noise timings.
 //
 // Classification is by key name, matching the conventions of
 // bench/bench_scaling.cpp:
 //   * "*_s"                     wall time      -> time_ratio
 //   * "*_err" / "*residual*"    accuracy       -> error_ratio
+//   * "matvec_reduction",
+//     "cache_hit_rate"          count ratios   -> count_ratio, inverted
+//                                                 (golden / fresh)
 //   * other numeric keys        counters       -> count_ratio
 //   * skip list                 descriptors    -> never compared
 // Arrays of objects are matched element-wise by their "n" member when
@@ -42,7 +46,9 @@ struct BenchDelta {
     std::string path;   ///< e.g. "cases[n=14].fill_cached_s"
     double golden = 0;
     double fresh = 0;
-    double ratio = 0;     ///< fresh / golden
+    /// fresh / golden; golden / fresh for the higher-is-better count
+    /// ratios, so > 1 is always worse.
+    double ratio = 0;
     double threshold = 0; ///< the ratio limit that applied
     bool regression = false;
 };

@@ -8,6 +8,7 @@
 #include "circuit/transient.hpp"
 #include "common/constants.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/robust.hpp"
 #include "em/cavity_model.hpp"
 #include "em/iterative_solver.hpp"
@@ -179,6 +180,29 @@ double dc_path_resistance(const PlaneBem& bem, std::size_t n1, std::size_t n2) {
     return v[row1];
 }
 
+// --- reference fills -------------------------------------------------------
+
+ReferenceFill reference_fill(const PlaneBem& bem) {
+    // Lower triangle, column-parallel (workers own whole columns), then
+    // mirrored: the order PlaneBem's direct fill evaluates in.
+    const auto fill = [](std::size_t n, const auto& entry) {
+        MatrixD m(n, n);
+        par::parallel_for(n, [&](std::size_t j) {
+            for (std::size_t i = j; i < n; ++i) m(i, j) = entry(i, j);
+        });
+        for (std::size_t j = 0; j < n; ++j)
+            for (std::size_t i = j + 1; i < n; ++i) m(j, i) = m(i, j);
+        return m;
+    };
+    return {fill(bem.node_count(),
+                 [&](std::size_t i, std::size_t j) {
+                     return bem.potential_entry(i, j);
+                 }),
+            fill(bem.branch_count(), [&](std::size_t a, std::size_t b) {
+                return bem.inductance_entry(a, b);
+            })};
+}
+
 // --- plane invariants -------------------------------------------------------
 
 namespace {
@@ -292,16 +316,14 @@ CheckResult inv_assembly_cache(const InvariantContext& ctx) {
     CheckResult r;
     r.invariant = "assembly_cache";
     r.tolerance = ctx.tol.assembly;
-    const PlaneBem direct = ctx.scenario.make_bem(AssemblyMode::Direct);
-    const PlaneBem cached = ctx.scenario.make_bem(AssemblyMode::Cached);
-    const double dp =
-        relative_diff(direct.potential_matrix(), cached.potential_matrix());
+    const ReferenceFill ref = reference_fill(ctx.bem);
+    const double dp = relative_diff(ref.potential, ctx.bem.potential_matrix());
     const double dl =
-        relative_diff(direct.inductance_matrix(), cached.inductance_matrix());
+        relative_diff(ref.inductance, ctx.bem.inductance_matrix());
     r.error = std::max(dp, dl);
     r.pass = r.error <= r.tolerance;
     if (!r.pass)
-        r.detail = "cached assembly drifted: P rel=" + fmt(dp) +
+        r.detail = "fill drifted from the entry kernels: P rel=" + fmt(dp) +
                    " L rel=" + fmt(dl);
     return r;
 }
@@ -334,22 +356,22 @@ CheckResult inv_backend_iterative(const InvariantContext& ctx) {
 }
 
 // ACA/H-matrix operator compression must not move the answer: an H-matrix
-// iterative solve has to reproduce the dense direct solve on every generated
-// geometry — the stretched, L-shape, and antipad scenarios are exactly the
-// non-uniform meshes the compressed path exists for. Uniform meshes would
-// take the Toeplitz form, so they are compressed through a Direct-assembly
-// BEM (no displacement table); the entry kernels the H-matrix samples do
-// not depend on the assembly mode. The compressed path has to actually
-// engage (a solver that silently took another operator form would pass
-// equivalence while testing nothing).
+// iterative solve has to reproduce the dense direct solve on every
+// non-uniform geometry — the stretched scenarios are exactly the meshes the
+// compressed path exists for. Uniform meshes take the Toeplitz form, which
+// backend_iterative covers. The compressed path has to actually engage (a
+// solver that silently took another operator form would pass equivalence
+// while testing nothing).
 CheckResult inv_hmatrix_equivalence(const InvariantContext& ctx) {
+    if (ctx.bem.uniform_lattice())
+        return skipped("hmatrix_equivalence",
+                       "uniform lattice: Toeplitz form (backend_iterative)");
     CheckResult r;
     r.invariant = "hmatrix_equivalence";
     r.tolerance = ctx.tol.hmatrix;
     SolverOptions opt;
     opt.backend = SolverBackend::Iterative;
-    const PlaneBem bem = ctx.scenario.make_bem(AssemblyMode::Direct);
-    const IterativeSolver iter(bem, ctx.scenario.surface_impedance(), opt);
+    const IterativeSolver iter(ctx.bem, ctx.scenario.surface_impedance(), opt);
     for (const double f : {0.35 * ctx.f10, 0.9 * ctx.f10}) {
         const MatrixC zd = ctx.direct.port_impedance(f, ctx.ports);
         const MatrixC zh = iter.port_impedance(f, ctx.ports);
@@ -595,7 +617,7 @@ CheckResult run_plane_invariant(const PlaneScenario& scenario,
                                 const ToleranceLadder& tol) {
     for (const PlaneInvariant& inv : plane_invariants()) {
         if (invariant != inv.name) continue;
-        const PlaneBem bem = scenario.make_bem(AssemblyMode::Auto);
+        const PlaneBem bem = scenario.make_bem();
         const DirectSolver direct(bem, scenario.surface_impedance());
         const std::vector<std::size_t> ports = scenario.port_nodes(bem.mesh());
         const InvariantContext ctx{scenario, bem,

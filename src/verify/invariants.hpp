@@ -38,7 +38,7 @@ struct ToleranceLadder {
     double passivity = 1e-10;     ///< -eigmin(Herm Z)/max|Z| floor
     double dc_capacitance = 0.02; ///< rel error of imag Zii vs -1/(w Ceff)
     double dc_resistance = 0.02;  ///< rel error of loop R vs DC Laplacian
-    double assembly = 1e-11;      ///< cached vs direct P/L fill, rel
+    double assembly = 1e-11;      ///< P/L fill vs entry kernels, rel
     double backend_z = 1e-6;      ///< direct vs iterative Z, rel
     double hmatrix = 1e-8;        ///< dense vs ACA/H-matrix Z, rel
     double cavity = 0.25;         ///< BEM vs analytic cavity |Z|, rel
@@ -70,6 +70,17 @@ double effective_capacitance(const PlaneBem& bem, std::size_t component);
 /// sheet-resistance conductance Laplacian.
 double dc_path_resistance(const PlaneBem& bem, std::size_t n1, std::size_t n2);
 
+// --- reference fills -------------------------------------------------------
+
+/// Dense Ppot and L built entry by entry from PlaneBem::potential_entry() /
+/// inductance_entry(): the reference every P/L fill is checked against.
+/// Bit-identical to the direct fill PlaneBem takes on meshes without a
+/// usable displacement table.
+struct ReferenceFill {
+    MatrixD potential, inductance;
+};
+ReferenceFill reference_fill(const PlaneBem& bem);
+
 // --- netlist invariants -----------------------------------------------------
 
 /// Transient energy balance: absorbed source energy + resistive dissipation
@@ -88,7 +99,7 @@ CheckResult check_fault_recovery(const Netlist& nl, double dt, double tstop,
 /// Everything a plane invariant needs, built once per scenario.
 struct InvariantContext {
     const PlaneScenario& scenario;
-    const PlaneBem& bem;  ///< AssemblyMode::Auto build
+    const PlaneBem& bem;  ///< scenario.make_bem()
     const DirectSolver& direct;
     const std::vector<std::size_t>& ports;
     double f10;  ///< estimated first resonance

@@ -100,10 +100,9 @@ RectMesh PlaneScenario::make_mesh() const {
     return RectMesh(std::move(cs), pitch);
 }
 
-PlaneBem PlaneScenario::make_bem(AssemblyMode mode) const {
+PlaneBem PlaneScenario::make_bem() const {
     BemOptions opt;
     opt.testing = testing;
-    opt.assembly = mode;
     return PlaneBem(make_mesh(), Greens::homogeneous(eps_r, true), opt);
 }
 

@@ -62,7 +62,7 @@ struct PlaneScenario {
     void validate() const;
 
     RectMesh make_mesh() const;
-    PlaneBem make_bem(AssemblyMode mode = AssemblyMode::Auto) const;
+    PlaneBem make_bem() const;
     SurfaceImpedance surface_impedance() const;
 
     /// Port mesh nodes in port order (may repeat if two ports snap to the

@@ -222,7 +222,7 @@ CampaignResult run_campaign(const VerifyOptions& opt) {
             Rng rng = Rng::stream(opt.seed, kPlaneStream + iter);
             PlaneScenario scenario = generate_plane(rng);
             scenario.seed = opt.seed;
-            const PlaneBem bem = scenario.make_bem(AssemblyMode::Auto);
+            const PlaneBem bem = scenario.make_bem();
             const DirectSolver direct(bem, scenario.surface_impedance());
             const std::vector<std::size_t> ports =
                 scenario.port_nodes(bem.mesh());

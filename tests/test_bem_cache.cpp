@@ -1,24 +1,21 @@
-// Cached (translation-invariant interaction table) vs direct BEM assembly.
+// BEM fills against the entry-kernel reference: the cached (translation-
+// invariant interaction table) fill to rounding, the direct fill bit for bit.
 #include <gtest/gtest.h>
 
 #include "common/parallel.hpp"
 #include "em/bem_plane.hpp"
+#include "tests/plane_fixtures.hpp"
 #include "tests/test_util.hpp"
+#include "verify/invariants.hpp"
 
 using namespace pgsi;
 
 namespace {
 
-// 20 x 16 mm plane with an off-center 4 x 3 mm antipad hole: uniform pitch,
-// irregular occupancy — the case the displacement table must reproduce.
-RectMesh holey_mesh() {
-    ConductorShape s;
-    s.outline = Polygon::rectangle(0, 0, 0.020, 0.016);
-    s.holes.push_back(Polygon::rectangle(0.006, 0.005, 0.010, 0.008));
-    s.z = 0.4e-3;
-    s.sheet_resistance = 1e-3;
-    return RectMesh({s}, 0.001);
-}
+using test::holey_mesh;
+using test::max_rel_diff;
+using test::plane_bem;
+using test::stretched_pair;
 
 // Two congruent planes at different heights whose grids share one lattice:
 // exercises the (z, z') dimension of the table.
@@ -31,119 +28,93 @@ RectMesh stacked_mesh() {
     return RectMesh({a, b}, 0.001);
 }
 
-// Shapes of incommensurate widths get different stretched pitches: the
-// lattice test must reject this mesh.
-RectMesh nonuniform_mesh() {
+// Two stacked shapes of incommensurate widths: no lattice, so the direct
+// fill covers the (z, z') pairs entry by entry.
+RectMesh stacked_nonuniform_mesh() {
     ConductorShape a;
     a.outline = Polygon::rectangle(0, 0, 0.010, 0.008);
-    a.z = 0.4e-3;
+    a.z = 0.3e-3;
     ConductorShape b;
-    b.outline = Polygon::rectangle(0.015, 0, 0.015 + 0.0073, 0.0073);
-    b.z = 0.4e-3;
+    b.outline = Polygon::rectangle(0.001, 0, 0.001 + 0.0073, 0.0073);
+    b.z = 0.8e-3;
     return RectMesh({a, b}, 0.001);
 }
 
-double max_rel_diff(const MatrixD& a, const MatrixD& b) {
-    EXPECT_EQ(a.rows(), b.rows());
-    EXPECT_EQ(a.cols(), b.cols());
-    const double scale = std::max(a.max_abs(), 1e-300);
-    double m = 0;
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t j = 0; j < a.cols(); ++j)
-            m = std::max(m, std::abs(a(i, j) - b(i, j)) / scale);
-    return m;
-}
-
-PlaneBem make(RectMesh mesh, AssemblyMode mode,
-              Testing testing = Testing::PointMatching) {
-    BemOptions opt;
-    opt.testing = testing;
-    opt.assembly = mode;
-    return PlaneBem(std::move(mesh), Greens::homogeneous(4.2, true), opt);
+// The cached fill reads the displacement table; it must reproduce the
+// entry-kernel reference (bit-identical to the direct fill) to rounding.
+void expect_cached_matches_reference(const PlaneBem& bem) {
+    const verify::ReferenceFill ref = verify::reference_fill(bem);
+    EXPECT_LT(max_rel_diff(bem.potential_matrix(), ref.potential), 1e-12);
+    EXPECT_LT(max_rel_diff(bem.inductance_matrix(), ref.inductance), 1e-12);
+    EXPECT_TRUE(bem.stats().potential_cached);
+    EXPECT_TRUE(bem.stats().inductance_cached);
+    EXPECT_GT(bem.stats().cache_entries, 0u);
 }
 
 } // namespace
 
 TEST(BemCache, CachedMatchesDirectOnHoleyMesh) {
-    const PlaneBem direct = make(holey_mesh(), AssemblyMode::Direct);
-    const PlaneBem cached = make(holey_mesh(), AssemblyMode::Cached);
-    EXPECT_LT(max_rel_diff(cached.potential_matrix(), direct.potential_matrix()),
-              1e-12);
-    EXPECT_LT(max_rel_diff(cached.inductance_matrix(), direct.inductance_matrix()),
-              1e-12);
-    EXPECT_TRUE(cached.stats().potential_cached);
-    EXPECT_TRUE(cached.stats().inductance_cached);
-    EXPECT_GT(cached.stats().cache_entries, 0u);
-    EXPECT_FALSE(direct.stats().potential_cached);
-    EXPECT_FALSE(direct.stats().inductance_cached);
+    expect_cached_matches_reference(plane_bem(holey_mesh()));
 }
 
 TEST(BemCache, CachedMatchesDirectWithGalerkinTesting) {
-    const PlaneBem direct =
-        make(holey_mesh(), AssemblyMode::Direct, Testing::Galerkin);
-    const PlaneBem cached =
-        make(holey_mesh(), AssemblyMode::Cached, Testing::Galerkin);
-    EXPECT_LT(max_rel_diff(cached.potential_matrix(), direct.potential_matrix()),
-              1e-12);
-    EXPECT_TRUE(cached.stats().potential_cached);
+    expect_cached_matches_reference(
+        plane_bem(holey_mesh(), Testing::Galerkin));
 }
 
 TEST(BemCache, CachedMatchesDirectAcrossStackedLayers) {
-    const PlaneBem direct = make(stacked_mesh(), AssemblyMode::Direct);
-    const PlaneBem cached = make(stacked_mesh(), AssemblyMode::Cached);
-    EXPECT_LT(max_rel_diff(cached.potential_matrix(), direct.potential_matrix()),
-              1e-12);
-    EXPECT_LT(max_rel_diff(cached.inductance_matrix(), direct.inductance_matrix()),
-              1e-12);
+    expect_cached_matches_reference(plane_bem(stacked_mesh()));
 }
 
+// Without a lattice the fill is built from the entry kernels themselves, so
+// it equals the reference bit for bit, single-layer and stacked, under
+// either testing procedure.
 TEST(BemCache, AutoFallsBackOnNonUniformMesh) {
-    const PlaneBem bem = make(nonuniform_mesh(), AssemblyMode::Auto);
-    bem.potential_matrix();
-    bem.inductance_matrix();
-    EXPECT_FALSE(bem.stats().potential_cached);
-    EXPECT_FALSE(bem.stats().inductance_cached);
+    for (const Testing testing : {Testing::PointMatching, Testing::Galerkin}) {
+        for (RectMesh mesh :
+             {stretched_pair(10, 8, 8), stacked_nonuniform_mesh()}) {
+            const PlaneBem bem = plane_bem(std::move(mesh), testing);
+            EXPECT_FALSE(bem.uniform_lattice());
+            const verify::ReferenceFill ref = verify::reference_fill(bem);
+            EXPECT_EQ(max_rel_diff(bem.potential_matrix(), ref.potential), 0.0);
+            EXPECT_EQ(max_rel_diff(bem.inductance_matrix(), ref.inductance),
+                      0.0);
+            EXPECT_FALSE(bem.stats().potential_cached);
+            EXPECT_FALSE(bem.stats().inductance_cached);
+            EXPECT_EQ(bem.stats().cache_entries, 0u);
+        }
+    }
 }
 
 TEST(BemCache, AutoUsesCacheOnUniformMesh) {
-    const PlaneBem bem = make(holey_mesh(), AssemblyMode::Auto);
+    const PlaneBem bem = plane_bem(holey_mesh());
     bem.potential_matrix();
     bem.inductance_matrix();
+    EXPECT_TRUE(bem.uniform_lattice());
     EXPECT_TRUE(bem.stats().potential_cached);
     EXPECT_TRUE(bem.stats().inductance_cached);
-}
-
-TEST(BemCache, ForcedCacheOnNonUniformMeshThrows) {
-    const PlaneBem bem = make(nonuniform_mesh(), AssemblyMode::Cached);
-    EXPECT_THROW(bem.potential_matrix(), Error);
-    EXPECT_THROW(bem.inductance_matrix(), Error);
 }
 
 // Assembly results must be bit-identical at any thread count: work is
 // partitioned over disjoint outputs with a fixed per-entry evaluation order.
 TEST(BemCache, ResultsInvariantAcrossThreadCounts) {
     pgsi::test::ScopedThreadCount pin(1);
-    for (const AssemblyMode mode : {AssemblyMode::Direct, AssemblyMode::Cached}) {
+    // The holey mesh takes the cached fill, the non-uniform one the direct.
+    for (const bool uniform : {true, false}) {
+        const auto mesh = [&] {
+            return uniform ? holey_mesh() : stretched_pair(10, 8, 8);
+        };
         pin.repin(1);
-        const PlaneBem one = make(holey_mesh(), mode);
+        const PlaneBem one = plane_bem(mesh());
         const MatrixD p1 = one.potential_matrix();
         const MatrixD l1 = one.inductance_matrix();
         for (const std::size_t threads : {2u, 8u}) {
             pin.repin(threads);
-            const PlaneBem many = make(holey_mesh(), mode);
-            const MatrixD& pn = many.potential_matrix();
-            const MatrixD& ln = many.inductance_matrix();
-            double dp = 0, dl = 0;
-            for (std::size_t i = 0; i < p1.rows(); ++i)
-                for (std::size_t j = 0; j < p1.cols(); ++j)
-                    dp = std::max(dp, std::abs(p1(i, j) - pn(i, j)));
-            for (std::size_t i = 0; i < l1.rows(); ++i)
-                for (std::size_t j = 0; j < l1.cols(); ++j)
-                    dl = std::max(dl, std::abs(l1(i, j) - ln(i, j)));
-            EXPECT_EQ(dp, 0.0) << "mode=" << static_cast<int>(mode)
-                               << " threads=" << threads;
-            EXPECT_EQ(dl, 0.0) << "mode=" << static_cast<int>(mode)
-                               << " threads=" << threads;
+            const PlaneBem many = plane_bem(mesh());
+            EXPECT_EQ(max_rel_diff(p1, many.potential_matrix()), 0.0)
+                << "uniform=" << uniform << " threads=" << threads;
+            EXPECT_EQ(max_rel_diff(l1, many.inductance_matrix()), 0.0)
+                << "uniform=" << uniform << " threads=" << threads;
         }
     }
 }

@@ -1,17 +1,19 @@
 // ACA/H-matrix operator compression: cluster-tree and admissibility
-// properties, rank-revealing ACA, tolerance control, deterministic threaded
-// apply, and the SolverBackend::Auto crossover that keeps O(N²) dense
-// assembly from silently coming back.
+// properties, rank-revealing ACA, accuracy of the compressed apply,
+// deterministic threaded apply, and the SolverBackend::Auto crossover that
+// keeps O(N²) dense assembly from silently coming back.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "common/parallel.hpp"
 #include "em/hmatrix.hpp"
 #include "em/iterative_solver.hpp"
 #include "em/solver.hpp"
 #include "obs/metrics.hpp"
+#include "tests/plane_fixtures.hpp"
 #include "tests/test_util.hpp"
 
 using namespace pgsi;
@@ -80,46 +82,10 @@ double rel_apply_error(const Hmatrix& h, const MatrixD& dense) {
     return std::sqrt(num / den);
 }
 
-// Meshes mirroring test_iterative_solver: one uniform with an antipad hole,
-// one with incommensurate shape widths (no common lattice).
-RectMesh holey_mesh() {
-    ConductorShape s;
-    s.outline = Polygon::rectangle(0, 0, 0.020, 0.016);
-    s.holes.push_back(Polygon::rectangle(0.006, 0.005, 0.010, 0.008));
-    s.z = 0.4e-3;
-    s.sheet_resistance = 1e-3;
-    return RectMesh({s}, 0.001);
-}
-
-RectMesh nonuniform_mesh() {
-    ConductorShape a;
-    a.outline = Polygon::rectangle(0, 0, 0.010, 0.008);
-    a.z = 0.4e-3;
-    a.sheet_resistance = 1e-3;
-    ConductorShape b = a;
-    b.outline = Polygon::rectangle(0.015, 0, 0.015 + 0.0073, 0.0073);
-    return RectMesh({a, b}, 0.001);
-}
-
-PlaneBem make_bem(RectMesh mesh, AssemblyMode mode = AssemblyMode::Auto) {
-    BemOptions opt;
-    opt.assembly = mode;
-    return PlaneBem(std::move(mesh), Greens::homogeneous(4.2, true), opt);
-}
-
-double max_rel_diff(const MatrixC& a, const MatrixC& b) {
-    EXPECT_EQ(a.rows(), b.rows());
-    EXPECT_EQ(a.cols(), b.cols());
-    double scale = 1e-300;
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t j = 0; j < a.cols(); ++j)
-            scale = std::max(scale, std::abs(a(i, j)));
-    double m = 0;
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t j = 0; j < a.cols(); ++j)
-            m = std::max(m, std::abs(a(i, j) - b(i, j)) / scale);
-    return m;
-}
+using test::max_rel_diff;
+using test::plane_bem;
+using test::stretched_pair;
+using test::uniform_plane;
 
 } // namespace
 
@@ -266,9 +232,7 @@ TEST(Hmatrix, CompressesAndMatchesDenseApply) {
     // every block dense and there is nothing to compress.
     const auto pts = stretched_points(30, 30); // 900 elements
     const KernelFn k = radial_kernel(pts);
-    HmatrixOptions opt;
-    opt.aca_tol = 1e-10;
-    const Hmatrix h(pts, k, opt);
+    const Hmatrix h(pts, k);
     ASSERT_EQ(h.size(), pts.size());
 
     const HmatrixStats& st = h.stats();
@@ -285,46 +249,23 @@ TEST(Hmatrix, CompressesAndMatchesDenseApply) {
     EXPECT_DOUBLE_EQ(h.entry(3, 200), k(3, 200));
 }
 
-TEST(Hmatrix, TighterToleranceGivesSmallerError) {
-    const auto pts = stretched_points(16, 12);
-    const KernelFn k = radial_kernel(pts);
-    const MatrixD dense = dense_from_kernel(k, pts.size());
-
-    double prev_err = 1e300;
-    std::size_t prev_stored = 0;
-    for (const double tol : {1e-2, 1e-4, 1e-7, 1e-10}) {
-        HmatrixOptions opt;
-        opt.aca_tol = tol;
-        const Hmatrix h(pts, k, opt);
-        const double err = rel_apply_error(h, dense);
-        EXPECT_LT(err, 50.0 * tol) << "tol " << tol;
-        // Monotone: tightening the tolerance may not increase the error
-        // (floor at numerical noise) and may not shrink the storage.
-        EXPECT_LE(err, prev_err + 1e-14) << "tol " << tol;
-        EXPECT_GE(h.stats().stored_entries, prev_stored);
-        prev_err = err;
-        prev_stored = h.stats().stored_entries;
-    }
-    EXPECT_LT(prev_err, 1e-8); // the tightest rung reached solver accuracy
-}
-
 TEST(Hmatrix, ApplyBitIdenticalAcrossThreadCounts) {
-    const auto pts = stretched_points(17, 13);
+    // Large enough for low-rank blocks at the fixed leaf size of 32.
+    const auto pts = stretched_points(30, 30);
     const KernelFn k = radial_kernel(pts);
-    HmatrixOptions opt;
-    opt.aca_tol = 1e-9;
 
     pgsi::test::ScopedThreadCount pin(1);
     VectorC base;
     {
-        const Hmatrix h(pts, k, opt);
+        const Hmatrix h(pts, k);
+        ASSERT_GT(h.stats().lowrank_blocks, 0u);
         const VectorC x = test_vector(h.size());
         base.resize(h.size());
         h.apply(x.data(), base.data());
     }
     for (const unsigned threads : {2u, 8u}) {
         pin.repin(threads);
-        const Hmatrix h(pts, k, opt); // build AND apply under `threads`
+        const Hmatrix h(pts, k); // build AND apply under `threads`
         const VectorC x = test_vector(h.size());
         VectorC y(h.size());
         h.apply(x.data(), y.data());
@@ -334,7 +275,7 @@ TEST(Hmatrix, ApplyBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(Hmatrix, SolverCompressionMatchesDirectSolve) {
-    const PlaneBem bem = make_bem(nonuniform_mesh());
+    const PlaneBem bem = plane_bem(stretched_pair(10, 8, 8));
     ASSERT_FALSE(bem.uniform_lattice());
     const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
 
@@ -361,7 +302,7 @@ TEST(Hmatrix, ForcedCompressionBitIdenticalAcrossThreadCounts) {
     pgsi::test::ScopedThreadCount pin(1);
     MatrixC base;
     const auto solve = [&] {
-        const PlaneBem bem = make_bem(nonuniform_mesh());
+        const PlaneBem bem = plane_bem(stretched_pair(10, 8, 8));
         SolverOptions opt;
         opt.backend = SolverBackend::Iterative;
         const IterativeSolver it(bem, zs, opt);
@@ -382,40 +323,42 @@ TEST(Hmatrix, ForcedCompressionBitIdenticalAcrossThreadCounts) {
 
 // The Auto crossover, observed through the em.backend.* selection counters:
 // a regression that silently reroutes a mesh class to the dense path (or
-// back to O(N²)) flips the wrong counter and fails here.
+// back to O(N²)) flips the wrong counter and fails here. make_solver does no
+// setup, so meshes at the 400- and 160-node crossovers stay cheap.
+namespace {
+
+// Route `mesh` through Auto: the backend name, then "/<family>" for each
+// increment of an em.backend.<family> counter.
+std::string route(RectMesh mesh, std::size_t nodes, bool uniform) {
+    const PlaneBem bem = plane_bem(std::move(mesh));
+    EXPECT_EQ(bem.node_count(), nodes);
+    EXPECT_EQ(bem.uniform_lattice(), uniform);
+    const std::string families[] = {"toeplitz", "hmatrix", "dense"};
+    std::uint64_t before[3];
+    for (int k = 0; k < 3; ++k)
+        before[k] = obs::counter("em.backend." + families[k]).value();
+    std::string out = make_solver(bem, SurfaceImpedance{})->backend_name();
+    for (int k = 0; k < 3; ++k)
+        for (std::uint64_t c = obs::counter("em.backend." + families[k]).value();
+             c > before[k]; --c)
+            out += "/" + families[k];
+    return out;
+}
+
+} // namespace
+
 TEST(MakeSolverCrossover, UniformLatticeSelectsToeplitz) {
-    const PlaneBem bem = make_bem(holey_mesh());
-    SolverOptions opt;
-    opt.auto_node_threshold = 1;
-    const std::uint64_t toe0 = obs::counter("em.backend.toeplitz").value();
-    const std::uint64_t hm0 = obs::counter("em.backend.hmatrix").value();
-    EXPECT_STREQ(make_solver(bem, SurfaceImpedance{}, opt)->backend_name(),
-                 "iterative");
-    EXPECT_EQ(obs::counter("em.backend.toeplitz").value(), toe0 + 1);
-    EXPECT_EQ(obs::counter("em.backend.hmatrix").value(), hm0);
+    EXPECT_EQ(route(uniform_plane(20, 20), 400, true), "iterative/toeplitz");
 }
 
 TEST(MakeSolverCrossover, NonUniformMeshSelectsHmatrix) {
-    const PlaneBem bem = make_bem(nonuniform_mesh());
-    SolverOptions opt;
-    opt.auto_node_threshold = 1;
-    opt.hmatrix.node_threshold = 1;
-    const std::uint64_t hm0 = obs::counter("em.backend.hmatrix").value();
-    const std::uint64_t dense0 = obs::counter("em.backend.dense").value();
-    EXPECT_STREQ(make_solver(bem, SurfaceImpedance{}, opt)->backend_name(),
-                 "iterative");
-    EXPECT_EQ(obs::counter("em.backend.hmatrix").value(), hm0 + 1);
-    EXPECT_EQ(obs::counter("em.backend.dense").value(), dense0);
+    EXPECT_EQ(route(stretched_pair(10, 8, 10), 160, false),
+              "iterative/hmatrix");
 }
 
 TEST(MakeSolverCrossover, TinyMeshSelectsDense) {
-    // Below both thresholds the dense direct solver wins on constants.
-    const PlaneBem bem = make_bem(nonuniform_mesh());
-    SolverOptions opt;
-    opt.auto_node_threshold = 100000;
-    opt.hmatrix.node_threshold = 100000;
-    const std::uint64_t dense0 = obs::counter("em.backend.dense").value();
-    EXPECT_STREQ(make_solver(bem, SurfaceImpedance{}, opt)->backend_name(),
-                 "direct");
-    EXPECT_EQ(obs::counter("em.backend.dense").value(), dense0 + 1);
+    // One node below either crossover the dense direct solver wins on
+    // constants, whatever the lattice.
+    EXPECT_EQ(route(uniform_plane(19, 21), 399, true), "direct/dense");
+    EXPECT_EQ(route(stretched_pair(7, 17, 5), 159, false), "direct/dense");
 }

@@ -5,6 +5,7 @@
 #include "common/parallel.hpp"
 #include "common/robust.hpp"
 #include "em/iterative_solver.hpp"
+#include "tests/plane_fixtures.hpp"
 #include "tests/test_util.hpp"
 #include "em/solver.hpp"
 
@@ -12,15 +13,9 @@ using namespace pgsi;
 
 namespace {
 
-// Uniform pitch with an off-center antipad hole (same as test_bem_cache).
-RectMesh holey_mesh() {
-    ConductorShape s;
-    s.outline = Polygon::rectangle(0, 0, 0.020, 0.016);
-    s.holes.push_back(Polygon::rectangle(0.006, 0.005, 0.010, 0.008));
-    s.z = 0.4e-3;
-    s.sheet_resistance = 1e-3;
-    return RectMesh({s}, 0.001);
-}
+using test::holey_mesh;
+using test::max_rel_diff;
+using test::plane_bem;
 
 // One power island split in two congruent pieces on a shared lattice plus a
 // second layer: multiple connected components and a (z, z') table dimension.
@@ -39,35 +34,7 @@ RectMesh split_plane_mesh() {
 
 // Shapes of incommensurate widths: no common lattice, so the solver
 // compresses the operators into H-matrices.
-RectMesh nonuniform_mesh() {
-    ConductorShape a;
-    a.outline = Polygon::rectangle(0, 0, 0.010, 0.008);
-    a.z = 0.4e-3;
-    a.sheet_resistance = 1e-3;
-    ConductorShape b = a;
-    b.outline = Polygon::rectangle(0.015, 0, 0.015 + 0.0073, 0.0073);
-    return RectMesh({a, b}, 0.001);
-}
-
-PlaneBem make_bem(RectMesh mesh, AssemblyMode mode = AssemblyMode::Auto) {
-    BemOptions opt;
-    opt.assembly = mode;
-    return PlaneBem(std::move(mesh), Greens::homogeneous(4.2, true), opt);
-}
-
-double max_rel_diff(const MatrixC& a, const MatrixC& b) {
-    EXPECT_EQ(a.rows(), b.rows());
-    EXPECT_EQ(a.cols(), b.cols());
-    double scale = 1e-300;
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t j = 0; j < a.cols(); ++j)
-            scale = std::max(scale, std::abs(a(i, j)));
-    double m = 0;
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t j = 0; j < a.cols(); ++j)
-            m = std::max(m, std::abs(a(i, j) - b(i, j)) / scale);
-    return m;
-}
+RectMesh nonuniform_mesh() { return test::stretched_pair(10, 8, 8); }
 
 SolverOptions iterative_options() {
     SolverOptions opt;
@@ -78,7 +45,7 @@ SolverOptions iterative_options() {
 } // namespace
 
 TEST(IterativeSolver, MatchesDirectOnHoleyMesh) {
-    const PlaneBem bem = make_bem(holey_mesh());
+    const PlaneBem bem = plane_bem(holey_mesh());
     const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
     const DirectSolver direct(bem, zs);
     const IterativeSolver iterative(bem, zs, iterative_options());
@@ -97,7 +64,7 @@ TEST(IterativeSolver, MatchesDirectOnHoleyMesh) {
 }
 
 TEST(IterativeSolver, MatchesDirectOnSplitPlanes) {
-    const PlaneBem bem = make_bem(split_plane_mesh());
+    const PlaneBem bem = plane_bem(split_plane_mesh());
     const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
     const DirectSolver direct(bem, zs);
     const IterativeSolver iterative(bem, zs, iterative_options());
@@ -113,7 +80,7 @@ TEST(IterativeSolver, MatchesDirectOnSplitPlanes) {
 }
 
 TEST(IterativeSolver, CompressesNonUniformMesh) {
-    const PlaneBem bem = make_bem(nonuniform_mesh());
+    const PlaneBem bem = plane_bem(nonuniform_mesh());
     EXPECT_FALSE(bem.uniform_lattice());
     // No Toeplitz form exists without a lattice.
     EXPECT_THROW(bem.potential_operator(), InvalidArgument);
@@ -132,23 +99,18 @@ TEST(IterativeSolver, CompressesNonUniformMesh) {
 }
 
 TEST(IterativeSolver, UniformMeshUsesMatrixFreeOperators) {
-    const PlaneBem bem = make_bem(holey_mesh());
+    const PlaneBem bem = plane_bem(holey_mesh());
     EXPECT_TRUE(bem.uniform_lattice());
     EXPECT_NO_THROW(bem.potential_operator());
     EXPECT_NO_THROW(bem.inductance_operator());
 
-    // The iterative solver takes the Toeplitz form here, and compresses the
-    // same mesh only when its BEM has no displacement table.
+    // The iterative solver takes the Toeplitz form on a uniform lattice.
     const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
     const std::vector<std::size_t> ports{
         bem.mesh().nearest_node({0.002, 0.002}, 0)};
     const IterativeSolver toeplitz(bem, zs, iterative_options());
     toeplitz.port_impedance(1e9, ports);
     EXPECT_FALSE(toeplitz.stats().hmatrix);
-    const PlaneBem direct_bem = make_bem(holey_mesh(), AssemblyMode::Direct);
-    const IterativeSolver compressed(direct_bem, zs, iterative_options());
-    compressed.port_impedance(1e9, ports);
-    EXPECT_TRUE(compressed.stats().hmatrix);
 }
 
 TEST(IterativeSolver, ResultsInvariantAcrossThreadCounts) {
@@ -158,7 +120,7 @@ TEST(IterativeSolver, ResultsInvariantAcrossThreadCounts) {
     pgsi::test::ScopedThreadCount pin(1);
     std::vector<MatrixC> base;
     {
-        const PlaneBem bem = make_bem(holey_mesh());
+        const PlaneBem bem = plane_bem(holey_mesh());
         const std::vector<std::size_t> ports{
             bem.mesh().nearest_node({0.002, 0.002}, 0),
             bem.mesh().nearest_node({0.018, 0.014}, 0)};
@@ -167,7 +129,7 @@ TEST(IterativeSolver, ResultsInvariantAcrossThreadCounts) {
     }
     for (const unsigned threads : {2u, 8u}) {
         pin.repin(threads);
-        const PlaneBem bem = make_bem(holey_mesh());
+        const PlaneBem bem = plane_bem(holey_mesh());
         const std::vector<std::size_t> ports{
             bem.mesh().nearest_node({0.002, 0.002}, 0),
             bem.mesh().nearest_node({0.018, 0.014}, 0)};
@@ -182,47 +144,30 @@ TEST(IterativeSolver, ResultsInvariantAcrossThreadCounts) {
 }
 
 TEST(MakeSolver, AutoSelectsBySizeAndLattice) {
+    // The exact crossovers are pinned in test_hmatrix (MakeSolverCrossover).
     const SurfaceImpedance zs;
     {
-        // Small uniform mesh: below the node threshold -> direct.
-        const PlaneBem bem = make_bem(holey_mesh());
-        SolverOptions opt;
-        opt.auto_node_threshold = 100000;
-        EXPECT_STREQ(make_solver(bem, zs, opt)->backend_name(), "direct");
+        // Uniform mesh below 400 nodes -> direct.
+        const PlaneBem bem = plane_bem(holey_mesh());
+        EXPECT_STREQ(make_solver(bem, zs)->backend_name(), "direct");
     }
     {
-        // Threshold of 1: any uniform mesh -> iterative.
-        const PlaneBem bem = make_bem(holey_mesh());
-        SolverOptions opt;
-        opt.auto_node_threshold = 1;
-        EXPECT_STREQ(make_solver(bem, zs, opt)->backend_name(), "iterative");
+        // Non-uniform mesh below 160 nodes -> direct.
+        const PlaneBem bem = plane_bem(nonuniform_mesh());
+        EXPECT_STREQ(make_solver(bem, zs)->backend_name(), "direct");
     }
     {
-        // Non-uniform mesh below the H-matrix node threshold -> direct.
-        const PlaneBem bem = make_bem(nonuniform_mesh());
+        // A 480-node uniform plane -> iterative (Toeplitz), unless the
+        // caller asks for the direct backend.
+        const PlaneBem bem = plane_bem(test::uniform_plane(24, 20));
+        EXPECT_STREQ(make_solver(bem, zs)->backend_name(), "iterative");
         SolverOptions opt;
-        opt.auto_node_threshold = 1;
-        EXPECT_STREQ(make_solver(bem, zs, opt)->backend_name(), "direct");
-    }
-    {
-        // Non-uniform mesh above the H-matrix node threshold -> iterative
-        // (the compressed-operator path replaces the old dense fallback).
-        const PlaneBem bem = make_bem(nonuniform_mesh());
-        SolverOptions opt;
-        opt.auto_node_threshold = 1;
-        opt.hmatrix.node_threshold = 1;
-        EXPECT_STREQ(make_solver(bem, zs, opt)->backend_name(), "iterative");
-    }
-    {
-        // Direct-only assembly disables the operator path.
-        const PlaneBem bem = make_bem(holey_mesh(), AssemblyMode::Direct);
-        SolverOptions opt;
-        opt.auto_node_threshold = 1;
+        opt.backend = SolverBackend::Direct;
         EXPECT_STREQ(make_solver(bem, zs, opt)->backend_name(), "direct");
     }
     {
         // Explicit backend requests are honored regardless of size.
-        const PlaneBem bem = make_bem(holey_mesh());
+        const PlaneBem bem = plane_bem(holey_mesh());
         SolverOptions opt;
         opt.backend = SolverBackend::Iterative;
         EXPECT_STREQ(make_solver(bem, zs, opt)->backend_name(), "iterative");
@@ -230,7 +175,7 @@ TEST(MakeSolver, AutoSelectsBySizeAndLattice) {
 }
 
 TEST(IterativeSolver, StalledSolveThrowsInsteadOfReturningGarbage) {
-    const PlaneBem bem = make_bem(holey_mesh());
+    const PlaneBem bem = plane_bem(holey_mesh());
     const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
     SolverOptions opt = iterative_options();
     opt.gmres.max_iterations = 1;
@@ -245,7 +190,7 @@ TEST(IterativeSolver, StalledSolveThrowsInsteadOfReturningGarbage) {
 }
 
 TEST(IterativeSolver, StalledSolveRecoversThroughDenseFallback) {
-    const PlaneBem bem = make_bem(holey_mesh());
+    const PlaneBem bem = plane_bem(holey_mesh());
     const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
     SolverOptions opt = iterative_options();
     opt.gmres.max_iterations = 1;
@@ -269,7 +214,7 @@ TEST(IterativeSolver, StalledSolveRecoversThroughDenseFallback) {
 // solve, all three port columns were attempted in that block and the dense
 // solver then recomputed the frequency.
 TEST(IterativeSolver, DenseFallbackAttributesOnlyAttemptedSolves) {
-    const PlaneBem bem = make_bem(holey_mesh());
+    const PlaneBem bem = plane_bem(holey_mesh());
     const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
     const IterativeSolver iterative(bem, zs, iterative_options());
     const std::vector<std::size_t> ports{
@@ -293,7 +238,7 @@ TEST(IterativeSolver, DenseFallbackAttributesOnlyAttemptedSolves) {
 }
 
 TEST(IterativeSolver, RejectsInvalidPorts) {
-    const PlaneBem bem = make_bem(holey_mesh());
+    const PlaneBem bem = plane_bem(holey_mesh());
     const IterativeSolver solver(bem, SurfaceImpedance{}, iterative_options());
     EXPECT_THROW(solver.port_impedance(1e9, {}), InvalidArgument);
     EXPECT_THROW(solver.port_impedance(1e9, {bem.node_count()}),

@@ -369,6 +369,36 @@ TEST(BenchGate, ThreadCountMismatchFails) {
     EXPECT_EQ(r.compared.front().fresh, 4.0);
 }
 
+TEST(BenchGate, ReductionAndHitRateDropsFail) {
+    // Higher-is-better count ratios gate in their own direction, with no
+    // noise floor: a hit rate of 0.9 is far below min_count.
+    const JsonValue golden = parse_json(R"({
+  "threads": 1, "cache_hit_rate": 0.9,
+  "sweep": [{"n": 18, "matvec_reduction": 6.0}]
+})");
+    const auto gate = [&](double hit_rate, double reduction) {
+        char buf[256];
+        std::snprintf(buf, sizeof buf, R"({
+  "threads": 1, "cache_hit_rate": %g,
+  "sweep": [{"n": 18, "matvec_reduction": %g}]
+})",
+                      hit_rate, reduction);
+        return obs::compare_bench(parse_json(buf), golden);
+    };
+    // Better, or worse within count_ratio (1.5): passes, both compared.
+    const obs::BenchGateResult ok = gate(1.0, 4.5);
+    EXPECT_TRUE(ok.ok()) << obs::format_bench_gate(ok);
+    EXPECT_EQ(ok.compared.size(), 2u);
+    // The hit rate falls from 0.9 to 0.5 and the reduction from 6 to 3.
+    const obs::BenchGateResult bad = gate(0.5, 3.0);
+    ASSERT_EQ(bad.regression_count(), 2u) << obs::format_bench_gate(bad);
+    // Ratios are golden / fresh, so > 1 is worse for these keys too.
+    EXPECT_EQ(bad.compared[0].path, "sweep[n=18].matvec_reduction");
+    EXPECT_NEAR(bad.compared[0].ratio, 2.0, 1e-12);
+    EXPECT_EQ(bad.compared[1].path, "cache_hit_rate");
+    EXPECT_NEAR(bad.compared[1].ratio, 1.8, 1e-12);
+}
+
 TEST(BenchGate, SubsetAndMissingKeysAreSkippedNotFailed) {
     const JsonValue golden = parse_json(kGolden);
     // A smoke run covering only n=6, with one extra key the golden lacks.

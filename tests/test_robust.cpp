@@ -23,6 +23,7 @@
 #include "obs/metrics.hpp"
 #include "si/cosim.hpp"
 #include "si/ssn.hpp"
+#include "tests/plane_fixtures.hpp"
 
 using namespace pgsi;
 
@@ -330,28 +331,13 @@ TEST_F(Robust, StrictDcReproducesTheThrow) {
 
 namespace {
 
-RectMesh small_plane_mesh() {
-    ConductorShape s;
-    s.outline = Polygon::rectangle(0, 0, 0.012, 0.010);
-    s.z = 0.4e-3;
-    s.sheet_resistance = 1e-3;
-    return RectMesh({s}, 0.001);
-}
+PlaneBem small_bem() { return test::plane_bem(test::uniform_plane(12, 10)); }
 
-PlaneBem small_bem(AssemblyMode assembly = AssemblyMode::Auto) {
-    BemOptions opt;
-    opt.assembly = assembly;
-    return PlaneBem(small_plane_mesh(), Greens::homogeneous(4.2, true), opt);
-}
-
-double max_rel_diff(const MatrixC& a, const MatrixC& b) {
-    double scale = 1e-300, diff = 0;
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t j = 0; j < a.cols(); ++j) {
-            scale = std::max(scale, std::abs(a(i, j)));
-            diff = std::max(diff, std::abs(a(i, j) - b(i, j)));
-        }
-    return diff / scale;
+// Non-uniform, so the iterative solver compresses it, and large enough (241
+// nodes) for well-separated cluster pairs at the fixed leaf size of 32: the
+// ACA runs, so the aca.converge fault site can fire.
+PlaneBem stretched_bem() {
+    return test::plane_bem(test::stretched_pair(16, 12, 8));
 }
 
 } // namespace
@@ -376,7 +362,7 @@ TEST_F(Robust, InjectedGmresStallFallsBackToDenseSolver) {
 
     const DirectSolver direct(bem, zs);
     const MatrixC zd = direct.port_impedance(1e9, ports);
-    EXPECT_LT(max_rel_diff(z, zd), 1e-8);
+    EXPECT_LT(test::max_rel_diff(z, zd), 1e-8);
 }
 
 TEST_F(Robust, StrictIterativeSolverReproducesTheStallThrow) {
@@ -393,15 +379,11 @@ TEST_F(Robust, StrictIterativeSolverReproducesTheStallThrow) {
 }
 
 TEST_F(Robust, InjectedAcaMissRecoversByTighteningTolerance) {
-    // Direct assembly: no displacement table, so the solver compresses the
-    // uniform mesh into H-matrices.
-    const PlaneBem bem = small_bem(AssemblyMode::Direct);
+    const PlaneBem bem = stretched_bem();
+    ASSERT_FALSE(bem.uniform_lattice());
     const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
     SolverOptions opt;
     opt.backend = SolverBackend::Iterative;
-    // At the default leaf size the 120-node tree has no well-separated
-    // cluster pairs, so no ACA runs and no fault can fire.
-    opt.hmatrix.leaf_size = 16;
     const IterativeSolver iterative(bem, zs, opt);
     const std::vector<std::size_t> ports{
         bem.mesh().nearest_node({0.002, 0.002}, 0)};
@@ -420,15 +402,14 @@ TEST_F(Robust, InjectedAcaMissRecoversByTighteningTolerance) {
 
     const DirectSolver direct(bem, zs);
     const MatrixC zd = direct.port_impedance(1e9, ports);
-    EXPECT_LT(max_rel_diff(z, zd), 1e-8);
+    EXPECT_LT(test::max_rel_diff(z, zd), 1e-8);
 }
 
 TEST_F(Robust, InjectedAcaRetryFailureAssemblesExactDenseBlocks) {
-    const PlaneBem bem = small_bem(AssemblyMode::Direct); // compressed path
+    const PlaneBem bem = stretched_bem(); // compressed path
     const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
     SolverOptions opt;
     opt.backend = SolverBackend::Iterative;
-    opt.hmatrix.leaf_size = 16; // see InjectedAcaMissRecoversByTightening
     const IterativeSolver iterative(bem, zs, opt);
     const std::vector<std::size_t> ports{
         bem.mesh().nearest_node({0.002, 0.002}, 0)};
@@ -447,7 +428,7 @@ TEST_F(Robust, InjectedAcaRetryFailureAssemblesExactDenseBlocks) {
 
     const DirectSolver direct(bem, zs);
     const MatrixC zd = direct.port_impedance(1e9, ports);
-    EXPECT_LT(max_rel_diff(z, zd), 1e-8);
+    EXPECT_LT(test::max_rel_diff(z, zd), 1e-8);
 }
 
 // --- error-context chains across layers --------------------------------------

@@ -2,11 +2,12 @@
 #pragma once
 
 #include <cstdio>
+#include <exception>
 #include <map>
+#include <memory>
+#include <new>
 #include <string>
 #include <vector>
-
-#include <memory>
 
 #include "circuit/parser.hpp"
 #include "common/error.hpp"
@@ -143,15 +144,22 @@ private:
     std::map<std::string, std::string> options_;
 };
 
-/// Standard error wrapper for tool main()s.
+/// Standard error wrapper for tool main()s. A pgsi::Error prints with the
+/// usage text; an allocation failure or any other std::exception is not a
+/// usage problem, so it prints alone. Every path returns 1 instead of
+/// letting the exception terminate the process.
 template <class F>
 int run_tool(F&& body, const char* usage) {
     try {
         return body();
     } catch (const Error& e) {
         std::fprintf(stderr, "error: %s\n\nusage: %s\n", e.what(), usage);
-        return 1;
+    } catch (const std::bad_alloc& e) {
+        std::fprintf(stderr, "error: out of memory (%s)\n", e.what());
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
     }
+    return 1;
 }
 
 } // namespace pgsi::cli
