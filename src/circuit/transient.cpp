@@ -45,6 +45,62 @@ struct CapState {
     double i_prev = 0;
 };
 
+// One column u = e_a - e_b of the time-varying conductance stamp
+// U·D(t)·Uᵀ: a driver's pull-up (out, vcc) or pull-down (out, gnd) device,
+// or a table element's (a, b) linearization.
+struct StampColumn {
+    NodeId a = 0, b = 0;
+};
+
+// Largest 1-norm condition number of the r×r Woodbury matrix
+// K = I + ΔD·S that a low-rank correction may solve through: its rounding,
+// about κ·1e-16 relative, then stays well below the 1e-10 the correction is
+// held to against a dense re-factorization. Past it the stepper re-factors
+// at the current conductances instead (ΔD = 0 again).
+constexpr double kMaxCorrectionCondition = 1e5;
+
+double norm1(const MatrixD& a) {
+    double m = 0;
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+        double s = 0;
+        for (std::size_t i = 0; i < a.rows(); ++i) s += std::abs(a(i, j));
+        m = std::max(m, s);
+    }
+    return m;
+}
+
+// Inverse of the small r×r Woodbury matrix by Gauss-Jordan elimination with
+// partial pivoting; false when a pivot vanishes. It stays out of the counted
+// Lu so that lu.* metrics keep meaning order-n MNA factors and solves.
+bool invert_small(MatrixD a, MatrixD& inv) {
+    const std::size_t n = a.rows();
+    inv = MatrixD::identity(n);
+    for (std::size_t k = 0; k < n; ++k) {
+        std::size_t p = k;
+        for (std::size_t i = k + 1; i < n; ++i)
+            if (std::abs(a(i, k)) > std::abs(a(p, k))) p = i;
+        if (a(p, k) == 0.0) return false;
+        for (std::size_t j = 0; j < n; ++j) {
+            std::swap(a(k, j), a(p, j));
+            std::swap(inv(k, j), inv(p, j));
+        }
+        const double piv = a(k, k);
+        for (std::size_t j = 0; j < n; ++j) {
+            a(k, j) /= piv;
+            inv(k, j) /= piv;
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            const double f = a(i, k);
+            if (i == k || f == 0.0) continue;
+            for (std::size_t j = 0; j < n; ++j) {
+                a(i, j) -= f * a(k, j);
+                inv(i, j) -= f * inv(k, j);
+            }
+        }
+    }
+    return true;
+}
+
 } // namespace
 
 struct TransientStepper::Impl {
@@ -59,14 +115,20 @@ struct TransientStepper::Impl {
     MatrixD lfull; // inductor coupling matrix (self + mutual)
     std::vector<std::unique_ptr<TlineState>> tstates;
     VectorD ind_i_prev, ind_v_prev;
-    VectorD driver_gu, driver_gd;
     VectorD table_v;       // table linearization voltages (per element)
-    VectorD table_g_last;  // conductances stamped in the current factor
     MatrixD base_trap, base_be;
     bool have_trap = false, have_be = false;
-    std::unique_ptr<Lu<double>> lu;
+
+    // The MNA matrix is M(t) = base + U·D(t)·Uᵀ, with D(t) the driver and
+    // table conductances. One factor of M_ref = base + U·D_ref·Uᵀ serves
+    // every step of an integrator; steps whose D differs solve through the
+    // Woodbury identity with W = M_ref⁻¹·U and S = Uᵀ·W.
+    std::vector<StampColumn> stamp_cols; // U: drivers (up, down), tables
+    std::unique_ptr<Lu<double>> lu;      // factor of M_ref
     Integrator lu_method = Integrator::BackwardEuler;
     bool lu_valid = false;
+    VectorD d_ref;   // conductances stamped in the factor
+    MatrixD w, s_uw; // M_ref⁻¹·U (n × r) and Uᵀ·M_ref⁻¹·U (r × r)
 
     std::size_t step_count = 0;
 
@@ -108,10 +170,13 @@ struct TransientStepper::Impl {
         }
         ind_i_prev.assign(ni, 0.0);
         ind_v_prev.assign(ni, 0.0);
-        driver_gu.assign(nl.drivers().size(), -1.0);
-        driver_gd.assign(nl.drivers().size(), -1.0);
         table_v.assign(nl.table_conductances().size(), 0.0);
-        table_g_last.assign(nl.table_conductances().size(), -1.0);
+        for (const DriverInstance& d : nl.drivers()) {
+            stamp_cols.push_back({d.out, d.vcc});
+            stamp_cols.push_back({d.out, d.gnd});
+        }
+        for (const TableConductance& tc : nl.table_conductances())
+            stamp_cols.push_back({tc.a, tc.b});
 
         initialize_dc();
     }
@@ -211,46 +276,89 @@ struct TransientStepper::Impl {
         return base;
     }
 
-    void refresh_factor(Integrator m, double t, const VectorD& table_g) {
-        bool drivers_moved = false;
-        for (std::size_t d = 0; d < nl.drivers().size(); ++d) {
-            const double gu = nl.drivers()[d].params.g_up(t);
-            const double gd = nl.drivers()[d].params.g_dn(t);
-            if (std::abs(gu - driver_gu[d]) > 1e-12 * (std::abs(gu) + 1e-12) ||
-                std::abs(gd - driver_gd[d]) > 1e-12 * (std::abs(gd) + 1e-12))
-                drivers_moved = true;
-            driver_gu[d] = gu;
-            driver_gd[d] = gd;
+    // D(t): every driver's pull-up and pull-down conductance at time t, then
+    // the table elements' Newton linearizations, in stamp_cols order.
+    VectorD conductances(double t, const VectorD& table_g) const {
+        VectorD d;
+        d.reserve(stamp_cols.size());
+        for (const DriverInstance& dr : nl.drivers()) {
+            d.push_back(dr.params.g_up(t));
+            d.push_back(dr.params.g_dn(t));
         }
-        bool tables_moved = false;
-        for (std::size_t k = 0; k < table_g.size(); ++k)
-            if (std::abs(table_g[k] - table_g_last[k]) >
-                1e-12 * (std::abs(table_g[k]) + 1e-12))
-                tables_moved = true;
-        table_g_last = table_g;
-        if (lu_valid && m == lu_method && !drivers_moved && !tables_moved)
-            return;
+        d.insert(d.end(), table_g.begin(), table_g.end());
+        return d;
+    }
+
+    // Factor M_ref = base + U·diag(d)·Uᵀ and precompute W and S.
+    void factor(Integrator m, const VectorD& d) {
         PGSI_TRACE_SCOPE("transient.factor");
         ++stats.lu_factorizations;
         MatrixD mat = base_matrix(m);
-        for (std::size_t d = 0; d < nl.drivers().size(); ++d) {
-            const DriverInstance& dr = nl.drivers()[d];
-            stamp_conductance(mat, lay, dr.out, dr.vcc, driver_gu[d]);
-            stamp_conductance(mat, lay, dr.out, dr.gnd, driver_gd[d]);
-        }
-        for (std::size_t k = 0; k < table_g.size(); ++k) {
-            const TableConductance& tc = nl.table_conductances()[k];
-            stamp_conductance(mat, lay, tc.a, tc.b, table_g[k]);
-        }
+        for (std::size_t j = 0; j < stamp_cols.size(); ++j)
+            stamp_conductance(mat, lay, stamp_cols[j].a, stamp_cols[j].b, d[j]);
         lu = std::make_unique<Lu<double>>(std::move(mat));
         lu_method = m;
         lu_valid = true;
-        // Conditioning spot-check: the estimator costs a handful of O(n²)
-        // solves, so sample the first factor and every 64th thereafter
-        // rather than every driver-edge refactorization.
-        if (stats.lu_factorizations == 1 || stats.lu_factorizations % 64 == 0)
+        d_ref = d;
+        if (ropt.condition_warn_threshold > 0)
             robust::check_condition(lu->condition_estimate(),
                                     "transient MNA matrix", ropt, &report);
+        const std::size_t r = stamp_cols.size();
+        if (r == 0) return;
+        MatrixD u(lay.dim(), r);
+        for (std::size_t j = 0; j < r; ++j) {
+            const std::size_t ia = lay.node(stamp_cols[j].a);
+            const std::size_t ib = lay.node(stamp_cols[j].b);
+            if (ia != MnaLayout::npos) u(ia, j) += 1.0;
+            if (ib != MnaLayout::npos) u(ib, j) -= 1.0;
+        }
+        w = lu->solve(u);
+        ++stats.lu_solves;
+        s_uw = u.transposed() * w;
+    }
+
+    // Solve M(t)·x = b at conductances d. With ΔD = d - d_ref on the active
+    // columns A: y = M_ref⁻¹·b, c = (I + ΔD·S_AA)⁻¹·ΔD·U_Aᵀ·y, x = y - W_A·c.
+    // The factor is rebuilt at d (so ΔD = 0) for a new integrator or dt, and
+    // whenever the r×r matrix is too ill-conditioned to correct through.
+    VectorD solve(Integrator m, const VectorD& d, const VectorD& b) {
+        if (!lu_valid || m != lu_method) factor(m, d);
+        std::vector<std::size_t> act;
+        for (std::size_t j = 0; j < d.size(); ++j)
+            if (d[j] != d_ref[j]) act.push_back(j);
+        MatrixD kinv;
+        if (!act.empty()) {
+            MatrixD k(act.size(), act.size());
+            for (std::size_t i = 0; i < act.size(); ++i) {
+                const double dd = d[act[i]] - d_ref[act[i]];
+                for (std::size_t j = 0; j < act.size(); ++j)
+                    k(i, j) = dd * s_uw(act[i], act[j]);
+                k(i, i) += 1.0;
+            }
+            const bool forced =
+                robust::FaultInjector::should_fire("transient.lowrank");
+            if (forced || !invert_small(k, kinv) ||
+                norm1(k) * norm1(kinv) > kMaxCorrectionCondition) {
+                factor(m, d);
+                act.clear();
+            }
+        }
+        VectorD x = lu->solve(b);
+        ++stats.lu_solves;
+        if (act.empty()) return x;
+        VectorD g(act.size());
+        for (std::size_t i = 0; i < act.size(); ++i) {
+            const StampColumn& c = stamp_cols[act[i]];
+            g[i] = (d[act[i]] - d_ref[act[i]]) * (node_v(x, c.a) - node_v(x, c.b));
+        }
+        const VectorD corr = kinv * g;
+        for (std::size_t row = 0; row < x.size(); ++row) {
+            double acc = 0;
+            for (std::size_t i = 0; i < act.size(); ++i)
+                acc += w(row, act[i]) * corr[i];
+            x[row] -= acc;
+        }
+        return x;
     }
 
     double node_v(const VectorD& sol, NodeId n) const {
@@ -263,24 +371,19 @@ struct TransientStepper::Impl {
     struct Snapshot {
         std::vector<CapState> caps;
         VectorD ind_i_prev, ind_v_prev;
-        VectorD driver_gu, driver_gd;
-        VectorD table_v, table_g_last;
+        VectorD table_v;
         VectorD x, node_v_now;
     };
 
     Snapshot take_snapshot() const {
-        return {caps,      ind_i_prev, ind_v_prev, driver_gu, driver_gd,
-                table_v,   table_g_last, x,        node_v_now};
+        return {caps, ind_i_prev, ind_v_prev, table_v, x, node_v_now};
     }
 
     void restore(const Snapshot& s) {
         caps = s.caps;
         ind_i_prev = s.ind_i_prev;
         ind_v_prev = s.ind_v_prev;
-        driver_gu = s.driver_gu;
-        driver_gd = s.driver_gd;
         table_v = s.table_v;
-        table_g_last = s.table_g_last;
         x = s.x;
         node_v_now = s.node_v_now;
     }
@@ -483,9 +586,7 @@ struct TransientStepper::Impl {
                 stamp_current(rhs_nl, lay, tc.a, -ieq);
                 stamp_current(rhs_nl, lay, tc.b, +ieq);
             }
-            refresh_factor(m, t, table_g);
-            x = lu->solve(rhs_nl);
-            ++stats.lu_solves;
+            x = solve(m, conductances(t, table_g), rhs_nl);
             if (!robust::all_finite(x)) {
                 static obs::Counter& c_nonfinite =
                     obs::counter("robust.nonfinite_detected");
@@ -579,6 +680,19 @@ const robust::RecoveryReport& TransientStepper::recovery_report() const {
     return impl_->report;
 }
 
+std::size_t transient_step_count(double dt, double tstop) {
+    // When tstop is an exact multiple of dt the quotient may land a hair
+    // above the integer (1e-8/1e-9 = 10.000000000000002) and ceil would
+    // append a step past tstop. Snap to the nearest integer when within a
+    // relative ulp-scale tolerance of it.
+    const double ratio = tstop / dt;
+    const double nearest = std::round(ratio);
+    return static_cast<std::size_t>(
+        (nearest > 0 && std::abs(ratio - nearest) <= 1e-9 * nearest)
+            ? nearest
+            : std::ceil(ratio));
+}
+
 TransientResult transient_analyze(const Netlist& nl, const TransientOptions& opt) {
     PGSI_REQUIRE(opt.dt > 0, "transient: dt must be positive");
     PGSI_REQUIRE(opt.tstop > opt.dt, "transient: tstop must exceed dt");
@@ -601,17 +715,7 @@ TransientResult transient_analyze(const Netlist& nl, const TransientOptions& opt
     };
     record();
 
-    // Step count covering [0, tstop]: ceil(tstop/dt), except that when tstop
-    // is an exact multiple of dt the quotient may land a hair above the
-    // integer (1e-8/1e-9 = 10.000000000000002) and ceil would append a step
-    // past tstop. Snap to the nearest integer when within a relative ulp-scale
-    // tolerance of it.
-    const double ratio = opt.tstop / opt.dt;
-    const double nearest = std::round(ratio);
-    const std::size_t steps = static_cast<std::size_t>(
-        (nearest > 0 && std::abs(ratio - nearest) <= 1e-9 * nearest)
-            ? nearest
-            : std::ceil(ratio));
+    const std::size_t steps = transient_step_count(opt.dt, opt.tstop);
     for (std::size_t s = 1; s <= steps; ++s) {
         stepper.step();
         record();

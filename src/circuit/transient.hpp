@@ -3,10 +3,15 @@
 // Fixed time step ("combined with uniform time step for the linear circuit
 // portion, this approach gives us very efficient simulation time"), with
 // first-order (backward Euler) and second-order (trapezoidal) integration —
-// the two methods the paper cites for stability and accuracy. For a purely
-// linear circuit the MNA matrix is factored exactly once; behavioral drivers
-// introduce time-varying conductances and trigger refactorization only on
-// the steps where their conductances actually move.
+// the two methods the paper cites for stability and accuracy. The MNA matrix
+// is factored once per integrator (backward Euler for the first step,
+// trapezoidal after). Behavioral drivers and table elements only add
+// time-varying conductances, a low-rank stamp U·D(t)·Uᵀ of two columns per
+// driver and one per table element; a step whose conductances differ from
+// the factored ones is solved through the Woodbury identity with an r×r
+// correction instead of a new factorization. A step change (timestep cut),
+// a numerical failure or an ill-conditioned correction re-factors at the
+// current conductances.
 //
 // The engine is exposed both as a one-shot analysis (transient_analyze) and
 // as a resumable TransientStepper. The stepper reads source values from the
@@ -47,7 +52,8 @@ struct TransientStats {
     std::size_t step_rejections = 0;   ///< trapezoidal steps redone with BE
     std::size_t timestep_cuts = 0;     ///< steps re-advanced with a cut dt
     std::size_t lu_factorizations = 0; ///< MNA (re)factorizations
-    std::size_t lu_solves = 0;         ///< back-substitutions
+    std::size_t lu_solves = 0;         ///< back-substitutions (one per factor
+                                       ///< covers the low-rank columns)
     double wall_seconds = 0;           ///< wall time spent inside step()
 };
 
@@ -107,6 +113,11 @@ private:
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };
+
+/// Number of steps a transient over [0, tstop] takes at step dt:
+/// ceil(tstop/dt), snapped to the nearest integer when tstop is an exact
+/// multiple of dt up to rounding.
+std::size_t transient_step_count(double dt, double tstop);
 
 /// Run a transient analysis. The initial condition is the DC operating
 /// point; the first step always uses backward Euler to avoid trapezoidal

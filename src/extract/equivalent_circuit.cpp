@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "extract/reduction.hpp"
 #include "numeric/lu.hpp"
+#include "obs/trace.hpp"
 
 namespace pgsi {
 
@@ -95,7 +96,10 @@ EquivalentCircuit CircuitExtractor::extract(
         const MatrixD gke = g.submatrix(keep_nodes, elim);
         const MatrixD gek = g.submatrix(elim, keep_nodes);
         const MatrixD gee = g.submatrix(elim, elim);
-        const MatrixD x = Lu<double>(gee).solve(gek); // Γ_ee⁻¹ Γ_ek
+        const MatrixD x = [&] { // Γ_ee⁻¹ Γ_ek
+            PGSI_TRACE_SCOPE("extract.kron");
+            return Lu<double>(gee).solve(gek);
+        }();
 
         gamma = g.submatrix(keep_nodes, keep_nodes);
         gamma -= gke * x;
@@ -125,9 +129,15 @@ EquivalentCircuit CircuitExtractor::extract(
                                if (s.sheet_resistance <= 0) return false;
                            return true;
                        }();
-    if (lossy)
-        gdc = full ? bem_.dc_conductance()
-                   : schur_reduce(bem_.dc_conductance(), keep_nodes);
+    if (lossy) {
+        if (full) {
+            gdc = bem_.dc_conductance();
+        } else {
+            const MatrixD& g = bem_.dc_conductance();
+            PGSI_TRACE_SCOPE("extract.dc_schur");
+            gdc = schur_reduce(g, keep_nodes);
+        }
+    }
 
     // Pruning thresholds from the largest off-diagonal magnitudes.
     double gmax = 0, cmx = 0, dmax = 0;

@@ -203,6 +203,119 @@ ReferenceFill reference_fill(const PlaneBem& bem) {
             })};
 }
 
+// --- reference transient ---------------------------------------------------
+
+TransientResult reference_transient(const Netlist& nl,
+                                    const TransientOptions& opt) {
+    PGSI_REQUIRE(nl.table_conductances().empty() && nl.tlines().empty() &&
+                     nl.sparam_blocks().empty(),
+                 "reference_transient supports R/L/C/K/V/I netlists and "
+                 "drivers only");
+    PGSI_REQUIRE(opt.dt > 0 && opt.tstop > opt.dt,
+                 "reference_transient: need 0 < dt < tstop");
+    const MnaLayout lay(nl);
+    const std::size_t dim = lay.dim();
+    const std::size_t ni = nl.inductors().size();
+    const DcSolution dc = dc_operating_point(nl);
+
+    struct Cap {
+        NodeId a, b;
+        double c;
+    };
+    std::vector<Cap> caps;
+    for (const Capacitor& c : nl.capacitors()) caps.push_back({c.a, c.b, c.c});
+    for (const DriverInstance& d : nl.drivers())
+        if (d.params.c_out > 0) caps.push_back({d.out, d.gnd, d.params.c_out});
+    MatrixD lmat(ni, ni);
+    for (std::size_t k = 0; k < ni; ++k) lmat(k, k) = nl.inductors()[k].l;
+    for (const MutualCoupling& m : nl.mutuals()) {
+        const double mv = m.k * std::sqrt(std::abs(nl.inductors()[m.l1].l) *
+                                          std::abs(nl.inductors()[m.l2].l));
+        lmat(m.l1, m.l2) += mv;
+        lmat(m.l2, m.l1) += mv;
+    }
+
+    VectorD x(dim, 0.0);
+    for (NodeId n = 1; n < nl.node_count(); ++n) x[lay.node(n)] = dc.v(n);
+    for (std::size_t k = 0; k < ni; ++k)
+        x[lay.inductor_current(k)] = dc.inductor_current[k];
+    const auto volt = [&](NodeId n) { return n == 0 ? 0.0 : x[lay.node(n)]; };
+    // Trapezoidal history: capacitor currents and inductive branch voltages
+    // of the previous step (zero at the DC point).
+    VectorD cap_v(caps.size()), cap_i(caps.size(), 0.0), ind_v(ni, 0.0);
+    for (std::size_t k = 0; k < caps.size(); ++k)
+        cap_v[k] = volt(caps[k].a) - volt(caps[k].b);
+
+    TransientResult res;
+    res.probes = opt.probes;
+    if (res.probes.empty())
+        for (NodeId n = 0; n < nl.node_count(); ++n) res.probes.push_back(n);
+    const auto record = [&](double t) {
+        res.time.push_back(t);
+        VectorD row(res.probes.size());
+        for (std::size_t k = 0; k < res.probes.size(); ++k)
+            row[k] = volt(res.probes[k]);
+        res.samples.push_back(std::move(row));
+    };
+    record(0.0);
+
+    const std::size_t steps = transient_step_count(opt.dt, opt.tstop);
+    for (std::size_t s = 1; s <= steps; ++s) {
+        const double t = static_cast<double>(s) * opt.dt;
+        const bool trap = s > 1 && opt.method == Integrator::Trapezoidal;
+        const double k = (trap ? 2.0 : 1.0) / opt.dt;
+        MatrixD a(dim, dim);
+        VectorD b(dim, 0.0);
+        for (const Resistor& r : nl.resistors())
+            stamp_conductance(a, lay, r.a, r.b, 1.0 / r.r);
+        for (const DriverInstance& d : nl.drivers()) {
+            stamp_conductance(a, lay, d.out, d.vcc, d.params.g_up(t));
+            stamp_conductance(a, lay, d.out, d.gnd, d.params.g_dn(t));
+        }
+        for (std::size_t c = 0; c < caps.size(); ++c) {
+            // Companion model i = k·C·v − ieq, with ieq the history source.
+            const double ieq = k * caps[c].c * cap_v[c] + (trap ? cap_i[c] : 0.0);
+            stamp_conductance(a, lay, caps[c].a, caps[c].b, k * caps[c].c);
+            stamp_current(b, lay, caps[c].a, ieq);
+            stamp_current(b, lay, caps[c].b, -ieq);
+        }
+        for (std::size_t l = 0; l < ni; ++l) {
+            // v_a − v_b − R·i − k·Σ L·i = −k·Σ L·i_prev − [trap] v_L,prev
+            const Inductor& ind = nl.inductors()[l];
+            const std::size_t cur = lay.inductor_current(l);
+            stamp_branch_incidence(a, lay, ind.a, ind.b, cur);
+            a(cur, cur) -= ind.r;
+            for (std::size_t j = 0; j < ni; ++j) {
+                a(cur, lay.inductor_current(j)) -= k * lmat(l, j);
+                b[cur] -= k * lmat(l, j) * x[lay.inductor_current(j)];
+            }
+            if (trap) b[cur] -= ind_v[l];
+        }
+        for (std::size_t v = 0; v < nl.vsources().size(); ++v) {
+            const VSource& src = nl.vsources()[v];
+            stamp_branch_incidence(a, lay, src.a, src.b, lay.vsource_current(v));
+            b[lay.vsource_current(v)] += src.src.value(t);
+        }
+        for (const ISource& i : nl.isources()) {
+            stamp_current(b, lay, i.a, -i.src.value(t));
+            stamp_current(b, lay, i.b, i.src.value(t));
+        }
+        x = Lu<double>(std::move(a)).solve(b);
+        for (std::size_t c = 0; c < caps.size(); ++c) {
+            const double v = volt(caps[c].a) - volt(caps[c].b);
+            cap_i[c] = k * caps[c].c * (v - cap_v[c]) - (trap ? cap_i[c] : 0.0);
+            cap_v[c] = v;
+        }
+        for (std::size_t l = 0; l < ni; ++l) {
+            const Inductor& ind = nl.inductors()[l];
+            ind_v[l] = volt(ind.a) - volt(ind.b) -
+                       ind.r * x[lay.inductor_current(l)];
+        }
+        record(t);
+    }
+    return res;
+}
+
 // --- plane invariants -------------------------------------------------------
 
 namespace {
@@ -635,9 +748,10 @@ CheckResult check_energy_balance(const Netlist& nl, double dt, double tstop,
     CheckResult r;
     r.invariant = "energy_balance";
     r.tolerance = tol;
-    PGSI_REQUIRE(nl.drivers().empty() && nl.table_conductances().empty() &&
-                     nl.tlines().empty() && nl.sparam_blocks().empty(),
-                 "energy balance supports R/L/C/K/V/I netlists only");
+    PGSI_REQUIRE(nl.table_conductances().empty() && nl.tlines().empty() &&
+                     nl.sparam_blocks().empty(),
+                 "energy balance supports R/L/C/K/V/I netlists and drivers "
+                 "only");
 
     TransientStepper st(nl, dt);
     const auto volt = [&](NodeId n) { return st.node_voltage(n); };
@@ -646,6 +760,10 @@ CheckResult check_energy_balance(const Netlist& nl, double dt, double tstop,
         for (const Capacitor& c : nl.capacitors()) {
             const double v = volt(c.a) - volt(c.b);
             e += 0.5 * c.c * v * v;
+        }
+        for (const DriverInstance& d : nl.drivers()) {
+            const double v = volt(d.out) - volt(d.gnd);
+            e += 0.5 * d.params.c_out * v * v;
         }
         return e;
     };
@@ -683,6 +801,12 @@ CheckResult check_energy_balance(const Netlist& nl, double dt, double tstop,
             const double i = st.inductor_current(k);
             p += nl.inductors()[k].r * i * i;
         }
+        for (const DriverInstance& d : nl.drivers()) {
+            const double vu = volt(d.out) - volt(d.vcc);
+            const double vd = volt(d.out) - volt(d.gnd);
+            p += d.params.g_up(st.time()) * vu * vu +
+                 d.params.g_dn(st.time()) * vd * vd;
+        }
         return p;
     };
 
@@ -717,6 +841,50 @@ CheckResult check_energy_balance(const Netlist& nl, double dt, double tstop,
            << " dL=" << fmt(d_ind);
         r.detail = os.str();
     }
+    return r;
+}
+
+double waveform_error(const TransientResult& a, const TransientResult& b) {
+    PGSI_REQUIRE(a.samples.size() == b.samples.size() && a.probes == b.probes,
+                 "waveform_error: runs recorded different samples");
+    double worst = 0;
+    for (std::size_t k = 0; k < b.probes.size(); ++k) {
+        double diff = 0, norm = 0;
+        for (std::size_t s = 0; s < b.samples.size(); ++s) {
+            const double d = a.samples[s][k] - b.samples[s][k];
+            diff += d * d;
+            norm += b.samples[s][k] * b.samples[s][k];
+        }
+        // A probe b holds at exactly 0 V (ground) must match exactly.
+        if (diff > 0)
+            worst = std::max(worst, norm == 0
+                                        ? std::numeric_limits<double>::infinity()
+                                        : std::sqrt(diff / norm));
+    }
+    return worst;
+}
+
+CheckResult check_transient_equivalence(const Netlist& nl, double dt,
+                                        double tstop, double tol) {
+    CheckResult r;
+    r.invariant = "transient_equivalence";
+    r.tolerance = tol;
+    // Backward Euler damps every mode, so the waveforms differ only by what
+    // each step's solve contributes. Under the trapezoidal rule the lossless
+    // LC loops of the generated networks carry any rounding difference
+    // undamped to the end of the run, and two dense solvers that merely sum
+    // their stamps in a different order drift apart by ~1e-9.
+    TransientOptions opt;
+    opt.dt = dt;
+    opt.tstop = tstop;
+    opt.method = Integrator::BackwardEuler;
+    const TransientResult fast = transient_analyze(nl, opt);
+    r.error = waveform_error(fast, reference_transient(nl, opt));
+    r.pass = r.error <= tol;
+    if (!r.pass)
+        r.detail = "waveforms deviate from the dense reference by " +
+                   fmt(r.error) + " (factorizations: " +
+                   std::to_string(fast.stats.lu_factorizations) + ")";
     return r;
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "circuit/netlist.hpp"
+#include "circuit/transient.hpp"
 #include "em/bem_plane.hpp"
 #include "em/solver.hpp"
 #include "verify/scenario.hpp"
@@ -43,6 +44,7 @@ struct ToleranceLadder {
     double hmatrix = 1e-8;        ///< dense vs ACA/H-matrix Z, rel
     double cavity = 0.25;         ///< BEM vs analytic cavity |Z|, rel
     double energy = 0.03;         ///< transient energy-balance residual, rel
+    double transient = 1e-10;     ///< stepper vs dense-reference waveforms, rel
     double recovery = 0.05;       ///< faulted vs golden waveform, rel of peak
 };
 
@@ -81,12 +83,35 @@ struct ReferenceFill {
 };
 ReferenceFill reference_fill(const PlaneBem& bem);
 
+// --- reference transient ---------------------------------------------------
+
+/// Dense fixed-step transient that builds and factors the whole MNA matrix
+/// on every step: the reference TransientStepper is checked against. Same
+/// DC start, step count and integrators as transient_analyze (backward Euler
+/// for the first step, then opt.method). Covers R/L/C/K/V/I netlists plus
+/// behavioral drivers; throws InvalidArgument for anything else.
+TransientResult reference_transient(const Netlist& nl,
+                                    const TransientOptions& opt);
+
 // --- netlist invariants -----------------------------------------------------
 
 /// Transient energy balance: absorbed source energy + resistive dissipation
-/// + change of stored (C and L, incl. mutual) energy must vanish.
+/// (resistors, inductor series R, driver devices g(t)·v²) + change of stored
+/// (C incl. driver output C, and L incl. mutual) energy must vanish.
 CheckResult check_energy_balance(const Netlist& nl, double dt, double tstop,
                                  double tol);
+
+/// Worst normwise relative difference ‖a_k − b_k‖₂ / ‖b_k‖₂ over the
+/// probes of two runs that recorded the same samples (infinite when b holds
+/// a probe at exactly 0 that a does not).
+double waveform_error(const TransientResult& a, const TransientResult& b);
+
+/// Transient equivalence: transient_analyze must reproduce
+/// reference_transient, error = waveform_error over every node. Both run
+/// backward Euler, which damps the rounding differences the trapezoidal
+/// rule would carry undamped through lossless LC loops.
+CheckResult check_transient_equivalence(const Netlist& nl, double dt,
+                                        double tstop, double tol);
 
 /// Recovery equivalence: a run with an injected transient.newton fault must
 /// reproduce the unfaulted golden waveforms within tolerance (the PR 4

@@ -364,6 +364,12 @@ PlaneScenario generate_plane(Rng& rng) {
         b.z = a.z;
         b.ox = a.nx + rng.uniform_int(2, 4);
         b.stretch = rng.uniform(0.82, 0.95); // incommensurate lattice
+        // Half of them stack b above a, overlapping it, so the H-matrix
+        // also compresses cross-layer (z != z') blocks of a stretched mesh.
+        if (rng.chance(0.5)) {
+            b.z = a.z + rng.uniform(0.3e-3, 0.7e-3);
+            b.ox = rng.uniform_int(0, 2);
+        }
         s.shapes = {a, b};
         port_shapes = {0, 1};
         n_ports = std::max(n_ports, 2);
@@ -444,6 +450,47 @@ NetlistScenario generate_netlist(Rng& rng) {
     std::ostringstream os;
     os << "rlc n=" << n << " R=" << nr << " L=" << nli << " C=" << nc
        << " drive=" << nl.node_name(drive);
+    ns.summary = os.str();
+    return ns;
+}
+
+NetlistScenario add_drivers(const NetlistScenario& base, Rng& rng) {
+    NetlistScenario ns = base;
+    Netlist& nl = ns.netlist;
+    std::vector<NodeId> nodes;
+    for (NodeId n = 0; n < nl.node_count(); ++n) nodes.push_back(n);
+    const NodeId vdd = nl.node("vdd");
+    const double vsupply = rng.uniform(1.0, 3.3);
+    nl.add_vsource("vdd", vdd, nl.ground(), Source::dc(vsupply));
+
+    const double t0 = 1e-9; // generate_netlist's time scale
+    const int count = rng.uniform_int(1, 3);
+    std::ostringstream os;
+    os << base.summary << " vdd=" << vsupply << " drivers=" << count;
+    for (int k = 0; k < count; ++k) {
+        // The pull-up switches against the supply or a network node, the
+        // pull-down against a network node or ground, so both ends inject
+        // switching current into the RLC network.
+        const NodeId vcc = rng.chance(0.5) ? vdd : rng.pick(nodes);
+        NodeId gnd = rng.pick(nodes);
+        if (gnd == vcc) gnd = nl.ground();
+        DriverParams p;
+        p.ron_up = rng.log_uniform(5.0, 50.0);
+        p.ron_dn = rng.log_uniform(5.0, 50.0);
+        p.roff = rng.log_uniform(1e5, 1e9);
+        // No output capacitance leaves the output node tied to the network
+        // by the device conductances alone: the hardest case for a solve
+        // that corrects a factor for conductance changes.
+        p.c_out = rng.chance(0.25) ? 0.0 : rng.log_uniform(0.5e-12, 5e-12);
+        p.input = Source::pulse(0, 1, rng.uniform(0.3, 4.0) * t0,
+                                rng.uniform(0.1, 0.6) * t0,
+                                rng.uniform(0.1, 0.6) * t0,
+                                rng.uniform(0.5, 3.0) * t0);
+        const std::string name = "d" + std::to_string(k + 1);
+        nl.add_driver(name, nl.node(name + "_out"), vcc, gnd, p);
+        os << " " << name << "=" << nl.node_name(vcc) << "/"
+           << nl.node_name(gnd) << (p.c_out > 0 ? "" : "/nocap");
+    }
     ns.summary = os.str();
     return ns;
 }

@@ -105,4 +105,10 @@ struct NetlistScenario {
 /// Draw a random netlist scenario from `rng`.
 NetlistScenario generate_netlist(Rng& rng);
 
+/// Copy of `base` with a DC supply and 1–3 behavioral drivers switching
+/// against the network, every driver parameter drawn from `rng`. The
+/// campaign feeds it a stream family of its own, so no draw of `base`
+/// shifts.
+NetlistScenario add_drivers(const NetlistScenario& base, Rng& rng);
+
 } // namespace pgsi::verify

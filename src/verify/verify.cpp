@@ -71,16 +71,19 @@ double ladder_tolerance(const ToleranceLadder& tol, const std::string& name) {
     if (name == "hmatrix_equivalence") return tol.hmatrix;
     if (name == "sweep_recycle") return tol.backend_z;
     if (name == "backend_cavity") return tol.cavity;
+    if (name == "transient_equivalence") return tol.transient;
     if (name == "energy_balance") return tol.energy;
+    if (name == "energy_balance_drivers") return tol.energy;
     if (name == "fault_recovery") return tol.recovery;
     return 0;
 }
 
-// Stream ids for the independent generator streams of one iteration; plane
-// and netlist draws never share a stream, so deselecting one suite family
-// does not shift the scenarios of the other.
+// Stream ids for the independent generator streams of one iteration; plane,
+// netlist and driver draws never share a stream, so deselecting one suite
+// family does not shift the scenarios of another.
 constexpr std::uint64_t kPlaneStream = 0;
 constexpr std::uint64_t kNetlistStream = 1u << 20;
+constexpr std::uint64_t kDriverStream = 2u << 20;
 
 struct Recorder {
     std::vector<InvariantStats>& stats;
@@ -201,6 +204,9 @@ CampaignResult run_campaign(const VerifyOptions& opt) {
                             selected(suites, "passivity") ||
                             selected(suites, "limits") ||
                             selected(suites, "backends");
+    // The transient stepper's low-rank driver updates are a fast path
+    // checked against a dense reference, so they ride with the backends.
+    const bool want_transient = selected(suites, "backends");
     const bool want_energy = selected(suites, "energy");
     const bool want_recovery = selected(suites, "recovery");
 
@@ -209,7 +215,11 @@ CampaignResult run_campaign(const VerifyOptions& opt) {
     // render complete manifests.
     for (const PlaneInvariant& inv : plane_invariants())
         if (selected(suites, inv.suite)) rec.slot(inv.name, inv.suite);
-    if (want_energy) rec.slot("energy_balance", "energy");
+    if (want_transient) rec.slot("transient_equivalence", "backends");
+    if (want_energy) {
+        rec.slot("energy_balance", "energy");
+        rec.slot("energy_balance_drivers", "energy");
+    }
     if (want_recovery) rec.slot("fault_recovery", "recovery");
 
     PGSI_TRACE_SCOPE("verify.campaign");
@@ -258,7 +268,7 @@ CampaignResult run_campaign(const VerifyOptions& opt) {
             }
         }
 
-        if (want_energy || want_recovery) {
+        if (want_transient || want_energy || want_recovery) {
             Rng rng = Rng::stream(opt.seed, kNetlistStream + iter);
             NetlistScenario ns = generate_netlist(rng);
             ns.seed = opt.seed;
@@ -273,6 +283,23 @@ CampaignResult run_campaign(const VerifyOptions& opt) {
                 const CheckResult r = check_fault_recovery(
                     ns.netlist, ns.dt, ns.tstop, opt.tol.recovery);
                 rec.record(r, "recovery", iter, ns.summary);
+            }
+            if (want_transient || want_energy) {
+                Rng drng = Rng::stream(opt.seed, kDriverStream + iter);
+                const NetlistScenario ds = add_drivers(ns, drng);
+                if (want_transient) {
+                    PGSI_TRACE_SCOPE("transient_equivalence");
+                    const CheckResult r = check_transient_equivalence(
+                        ds.netlist, ds.dt, ds.tstop, opt.tol.transient);
+                    rec.record(r, "backends", iter, ds.summary);
+                }
+                if (want_energy) {
+                    PGSI_TRACE_SCOPE("energy_balance_drivers");
+                    CheckResult r = check_energy_balance(
+                        ds.netlist, ds.dt, ds.tstop, opt.tol.energy);
+                    r.invariant = "energy_balance_drivers";
+                    rec.record(r, "energy", iter, ds.summary);
+                }
             }
         }
         tracker.end_iteration();

@@ -23,8 +23,9 @@ enum class Suite {
     Reciprocity,  ///< Z-matrix symmetry
     Passivity,    ///< positive-real port impedance
     Limits,       ///< DC capacitive / resistive asymptotes
-    Backends,     ///< cached assembly, iterative solver, cavity cross-checks
-    Energy,       ///< transient energy balance
+    Backends,     ///< cached assembly, iterative solver, cavity and
+                  ///< dense-reference transient cross-checks
+    Energy,       ///< transient energy balance, without and with drivers
     Recovery      ///< fault-injected runs reproduce the golden
 };
 

@@ -80,7 +80,11 @@ TEST(Nonlinear, TransientClampLimitsOvershoot) {
         opt.dt = 20e-12;
         opt.tstop = 5e-9;
         opt.probes = {out};
-        return transient_analyze(nl, opt).peak_abs(out);
+        const TransientResult res = transient_analyze(nl, opt);
+        // One factor per integrator: the clamp's Newton updates are
+        // low-rank corrections of it.
+        EXPECT_LE(res.stats.lu_factorizations, 2u);
+        return res.peak_abs(out);
     };
     const double open_peak = make(false);
     const double clamped_peak = make(true);
@@ -122,6 +126,9 @@ TEST(Nonlinear, StepperHandlesTables) {
     // Clamped near the 1.0 V operating point (plus dynamics).
     EXPECT_GT(peak, 0.8);
     EXPECT_LT(peak, 1.5);
+    // Every Newton pass is a low-rank correction of the one factor per
+    // integrator, plus one factor per step-size change (a cut and its undo).
+    EXPECT_LE(st.stats().lu_factorizations, 2u + 2 * st.stats().timestep_cuts);
 }
 
 TEST(Nonlinear, TableValidation) {

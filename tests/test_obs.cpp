@@ -10,9 +10,11 @@
 
 #include "circuit/transient.hpp"
 #include "common/error.hpp"
+#include "extract/equivalent_circuit.hpp"
 #include "io/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "plane_fixtures.hpp"
 
 using namespace pgsi;
 
@@ -340,6 +342,19 @@ TEST_F(ObsTest, TransientRunEmitsSpansAndStats) {
     EXPECT_NE(find_span(recs, "transient.run"), nullptr);
     EXPECT_NE(find_span(recs, "transient.run/transient.dcop"), nullptr);
     EXPECT_NE(find_span(recs, "transient.run/transient.factor"), nullptr);
+}
+
+TEST_F(ObsTest, ExtractionWithInteriorNodesTracesKronAndDcSchur) {
+    // Keeping 4 of 24 nodes eliminates interior ones: the Kron solve of Γ
+    // and the Schur reduction of the (lossy) DC conductance each get a span.
+    const PlaneBem bem = test::plane_bem(test::uniform_plane(6, 4));
+    {
+        PGSI_TRACE_SCOPE("extract");
+        CircuitExtractor(bem).extract({0, 5, 18, 23});
+    }
+    const auto recs = obs::trace_records();
+    EXPECT_NE(find_span(recs, "extract/extract.kron"), nullptr);
+    EXPECT_NE(find_span(recs, "extract/extract.dc_schur"), nullptr);
 }
 
 TEST(ObsTelemetry, NonlinearTransientCountsNewtonIterations) {

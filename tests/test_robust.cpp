@@ -300,6 +300,40 @@ TEST_F(Robust, RecoverPolicyStillFailsWhenCutsAreExhausted) {
 
 // --- DC operating point: injected divergence recovers by gmin stepping -------
 
+TEST_F(Robust, InjectedLowRankFaultRebasesWithTheSameWaveform) {
+    // A driver edge moves its conductances on every step of the ramp, each
+    // a low-rank correction of the trapezoidal factor. Firing the
+    // transient.lowrank site on the 5th correction re-factors at that
+    // step's conductances instead: one more factorization, same waveform.
+    Netlist nl;
+    const NodeId vcc = nl.node("vcc");
+    const NodeId out = nl.node("out");
+    nl.add_vsource("Vdd", nl.node("vdd"), nl.ground(), Source::dc(3.3));
+    nl.add_inductor("Lpkg", nl.find_node("vdd"), vcc, 2e-9);
+    DriverParams p;
+    p.input = Source::pulse(0, 1, 0.5e-9, 0.4e-9, 0.4e-9, 2e-9);
+    nl.add_driver("D1", out, vcc, nl.ground(), p);
+    nl.add_capacitor("Cload", out, nl.ground(), 10e-12);
+    TransientOptions opt;
+    opt.dt = 10e-12;
+    opt.tstop = 5e-9;
+    const TransientResult golden = transient_analyze(nl, opt);
+    ASSERT_EQ(golden.stats.lu_factorizations, 2u);
+
+    robust::FaultInjector::arm("transient.lowrank", 5);
+    const TransientResult res = transient_analyze(nl, opt);
+    EXPECT_EQ(robust::FaultInjector::fire_count("transient.lowrank"), 1u);
+    EXPECT_EQ(res.stats.lu_factorizations, 3u);
+    ASSERT_EQ(res.samples.size(), golden.samples.size());
+    for (const NodeId n : {vcc, out}) {
+        const VectorD w = res.waveform(n);
+        const VectorD wg = golden.waveform(n);
+        const double scale = golden.peak_abs(n);
+        for (std::size_t i = 0; i < w.size(); ++i)
+            EXPECT_NEAR(w[i], wg[i], 1e-10 * scale) << "sample " << i;
+    }
+}
+
 TEST_F(Robust, InjectedDcDivergenceRecoversByGminStepping) {
     Netlist nl;
     const NodeId vin = nl.node("in");

@@ -6,10 +6,26 @@
 
 #include "circuit/transient.hpp"
 #include "common/constants.hpp"
+#include "verify/invariants.hpp"
 
 using namespace pgsi;
 
 namespace {
+
+// A driver switching a 20 pF load through a 5 nH supply lead.
+Netlist driver_circuit() {
+    Netlist nl;
+    const NodeId vcc = nl.node("vcc");
+    const NodeId out = nl.node("out");
+    nl.add_vsource("Vdd", nl.node("vdd"), nl.ground(), Source::dc(5.0));
+    nl.add_inductor("Lpkg", nl.find_node("vdd"), vcc, 5e-9);
+    DriverParams p;
+    p.input = Source::pulse(0, 1, 1e-9, 0.5e-9, 0.5e-9, 5e-9);
+    p.c_out = 2e-12;
+    nl.add_driver("D1", out, vcc, nl.ground(), p);
+    nl.add_capacitor("Cload", out, nl.ground(), 20e-12);
+    return nl;
+}
 
 Netlist rc_step_circuit(double r, double c) {
     Netlist nl;
@@ -141,16 +157,9 @@ TEST(Transient, MutualInductorsShareFlux) {
 }
 
 TEST(Transient, DriverSwitchingDrawsSupplyCurrent) {
-    Netlist nl;
-    const NodeId vcc = nl.node("vcc");
-    const NodeId out = nl.node("out");
-    nl.add_vsource("Vdd", nl.node("vdd"), nl.ground(), Source::dc(5.0));
-    nl.add_inductor("Lpkg", nl.find_node("vdd"), vcc, 5e-9);
-    DriverParams p;
-    p.input = Source::pulse(0, 1, 1e-9, 0.5e-9, 0.5e-9, 5e-9);
-    p.c_out = 2e-12;
-    nl.add_driver("D1", out, vcc, nl.ground(), p);
-    nl.add_capacitor("Cload", out, nl.ground(), 20e-12);
+    const Netlist nl = driver_circuit();
+    const NodeId vcc = nl.find_node("vcc");
+    const NodeId out = nl.find_node("out");
     TransientOptions opt;
     opt.dt = 10e-12;
     opt.tstop = 8e-9;
@@ -160,6 +169,62 @@ TEST(Transient, DriverSwitchingDrawsSupplyCurrent) {
     EXPECT_GT(w_out[static_cast<std::size_t>(4e-9 / opt.dt)], 4.0);
     // ...and the local Vcc shows inductive droop during the edge.
     EXPECT_GT(res.peak_excursion(vcc), 0.05);
+}
+
+TEST(Transient, DriverSwitchingFactorsOncePerIntegrator) {
+    // Both edges of the pulse move the driver conductances on ~100 steps;
+    // each is a low-rank correction of the BE and the trapezoidal factor.
+    const Netlist nl = driver_circuit();
+    for (const Integrator m :
+         {Integrator::Trapezoidal, Integrator::BackwardEuler}) {
+        TransientOptions opt;
+        opt.dt = 10e-12;
+        opt.tstop = 8e-9;
+        opt.method = m;
+        const TransientResult res = transient_analyze(nl, opt);
+        EXPECT_EQ(res.stats.lu_factorizations,
+                  m == Integrator::Trapezoidal ? 2u : 1u);
+        EXPECT_LE(
+            verify::waveform_error(res, verify::reference_transient(nl, opt)),
+            1e-10);
+    }
+}
+
+TEST(Transient, IllConditionedCorrectionRefactors) {
+    // No output capacitance, and a pull-down to a node that only a 100 nH
+    // lead ties to ground: releasing the strong pull-down leaves the output
+    // a far weaker path than the factor had, so the r×r Woodbury matrix of
+    // the rising edge is near singular. Those steps re-factor instead, and
+    // the waveform still matches the reference.
+    Netlist nl;
+    nl.add_vsource("Vdd", nl.node("vdd"), nl.ground(), Source::dc(1.8));
+    const NodeId gl = nl.node("gl");
+    nl.add_inductor("Lgnd", gl, nl.ground(), 100e-9);
+    DriverParams p;
+    p.c_out = 0;
+    p.roff = 1e9;
+    p.input = Source::pulse(0, 1, 0.2e-9, 0.1e-9, 0.1e-9, 1e-9);
+    nl.add_driver("D1", nl.node("out"), nl.find_node("vdd"), gl, p);
+    TransientOptions opt;
+    opt.dt = 10e-12;
+    opt.tstop = 2e-9;
+    const TransientResult res = transient_analyze(nl, opt);
+    EXPECT_GT(res.stats.lu_factorizations, 2u);
+    EXPECT_LE(
+        verify::waveform_error(res, verify::reference_transient(nl, opt)),
+        1e-10);
+}
+
+TEST(Transient, LinearRunMatchesReference) {
+    // No drivers: one factor per integrator and no correction at all.
+    const Netlist nl = rc_step_circuit(1e3, 1e-9);
+    TransientOptions opt;
+    opt.dt = 5e-9;
+    opt.tstop = 2e-6;
+    const TransientResult res = transient_analyze(nl, opt);
+    EXPECT_LE(
+        verify::waveform_error(res, verify::reference_transient(nl, opt)),
+        1e-12);
 }
 
 TEST(Transient, StepperMatchesBatchAnalysis) {

@@ -148,6 +148,29 @@ TEST(VerifyCheckers, EnergyBalanceHoldsOnGeneratedNetlists) {
     }
 }
 
+TEST(VerifyCheckers, DriverNetlistsMatchReferenceAndBalanceEnergy) {
+    for (int iter = 0; iter < 5; ++iter) {
+        Rng rng = Rng::stream(11, iter);
+        Rng drng = Rng::stream(12, iter);
+        const NetlistScenario ns = add_drivers(generate_netlist(rng), drng);
+        ASSERT_FALSE(ns.netlist.drivers().empty());
+        const CheckResult eq =
+            check_transient_equivalence(ns.netlist, ns.dt, ns.tstop, 1e-10);
+        EXPECT_TRUE(eq.pass) << ns.summary << ": " << eq.detail;
+        const CheckResult en =
+            check_energy_balance(ns.netlist, ns.dt, ns.tstop, 0.03);
+        EXPECT_TRUE(en.pass) << ns.summary << ": " << en.detail;
+    }
+    // The reference covers R/L/C/K/V/I and drivers only.
+    Netlist nl;
+    nl.add_table_conductance("D1", nl.node("a"), nl.ground(), {0.0, 1.0},
+                             {0.0, 0.1});
+    TransientOptions opt;
+    opt.dt = 1e-12;
+    opt.tstop = 1e-11;
+    EXPECT_THROW(reference_transient(nl, opt), InvalidArgument);
+}
+
 TEST(VerifyShrink, MinimizesUnderSyntheticPredicate) {
     // Find a multilayer scenario with >= 2 layers and shrink under "still
     // has >= 2 layers". The minimum under the move set is 2 layers of 2x2

@@ -44,10 +44,10 @@ int main_impl(int argc, char** argv) {
                 result.iterations);
     for (std::size_t i = 0; i < result.suites.size(); ++i)
         std::printf("%s%s", i ? "," : "", result.suites[i].c_str());
-    std::printf("\n\n%-18s %8s %6s %9s %12s %12s\n", "invariant", "checks",
+    std::printf("\n\n%-22s %8s %6s %9s %12s %12s\n", "invariant", "checks",
                 "skips", "failures", "worst", "tolerance");
     for (const verify::InvariantStats& s : result.invariants)
-        std::printf("%-18s %8zu %6zu %9zu %12.3e %12.3e\n",
+        std::printf("%-22s %8zu %6zu %9zu %12.3e %12.3e\n",
                     s.invariant.c_str(), s.checks, s.skips, s.failures,
                     s.worst_error, s.tolerance);
 
